@@ -101,42 +101,42 @@ inline std::vector<RunSummary> RunMany(const RunPlan& plan) {
 // Minimal ordered-JSON emitter for benchmark artifacts (BENCH_*.json): an
 // object tree built with Begin/End calls, numbers printed with %.17g so
 // doubles round-trip. No external dependency, deliberately write-only.
-class JsonWriter {
+class BenchJsonWriter {
  public:
-  JsonWriter() { out_ += "{"; }
+  BenchJsonWriter() { out_ += "{"; }
 
-  JsonWriter& BeginObject(const std::string& key) {
+  BenchJsonWriter& BeginObject(const std::string& key) {
     Comma();
     out_ += Quote(key) + ": {";
     fresh_ = true;
     return *this;
   }
-  JsonWriter& EndObject() {
+  BenchJsonWriter& EndObject() {
     out_ += "\n" + Indent(--depth_) + "}";
     fresh_ = false;
     return *this;
   }
-  JsonWriter& Field(const std::string& key, const std::string& value) {
+  BenchJsonWriter& Field(const std::string& key, const std::string& value) {
     Comma();
     out_ += Quote(key) + ": " + Quote(value);
     return *this;
   }
-  JsonWriter& Field(const std::string& key, const char* value) {
+  BenchJsonWriter& Field(const std::string& key, const char* value) {
     return Field(key, std::string(value));
   }
-  JsonWriter& Field(const std::string& key, double value) {
+  BenchJsonWriter& Field(const std::string& key, double value) {
     char buf[64];
     std::snprintf(buf, sizeof(buf), "%.17g", value);
     Comma();
     out_ += Quote(key) + ": " + buf;
     return *this;
   }
-  JsonWriter& Field(const std::string& key, uint64_t value) {
+  BenchJsonWriter& Field(const std::string& key, uint64_t value) {
     Comma();
     out_ += Quote(key) + ": " + std::to_string(value);
     return *this;
   }
-  JsonWriter& Field(const std::string& key, int value) {
+  BenchJsonWriter& Field(const std::string& key, int value) {
     return Field(key, static_cast<uint64_t>(value));
   }
 

@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "src/common/logging.h"
+#include "src/common/names.h"
 
 namespace rhythm {
 
@@ -181,6 +182,10 @@ const std::vector<BeJobKind>& EvaluationBeJobKinds() {
 }
 
 const char* BeJobKindName(BeJobKind kind) { return GetBeJobSpec(kind).name.c_str(); }
+
+bool ParseBeJobKindName(const std::string& name, BeJobKind* out) {
+  return ParseKindName(name, AllBeJobKinds(), BeJobKindName, out);
+}
 
 BeJobSpec MakeAdversarialBeSpec(const ResourceVector& pressure) {
   const auto clamp01 = [](double v) { return std::min(1.0, std::max(0.0, v)); };

@@ -67,6 +67,9 @@ const std::vector<BeJobKind>& AllBeJobKinds();
 // stream-dram (big variants), CPU-stress, LSTM, imageClassify, wordcount.
 const std::vector<BeJobKind>& EvaluationBeJobKinds();
 const char* BeJobKindName(BeJobKind kind);
+// Name lookup (src/common/names.h normalization: case and punctuation
+// ignored); false when no BE job has that name.
+bool ParseBeJobKindName(const std::string& name, BeJobKind* out);
 
 // Builds a synthetic BE spec from a raw pressure vector (each axis clamped
 // to [0, 1]). The adversarial search (src/verify/adversary) decodes genome

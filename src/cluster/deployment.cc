@@ -5,6 +5,7 @@
 #include <memory>
 
 #include "src/common/logging.h"
+#include "src/common/names.h"
 #include "src/sim/sim_arena.h"
 
 namespace rhythm {
@@ -19,6 +20,12 @@ const char* ControllerKindName(ControllerKind kind) {
       return "Heracles";
   }
   return "?";
+}
+
+bool ParseControllerKindName(const std::string& name, ControllerKind* out) {
+  static constexpr ControllerKind kAll[] = {
+      ControllerKind::kNone, ControllerKind::kRhythm, ControllerKind::kHeracles};
+  return ParseKindName(name, kAll, ControllerKindName, out);
 }
 
 Deployment::Deployment(const DeploymentConfig& config)

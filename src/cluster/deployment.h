@@ -24,6 +24,7 @@
 #define RHYTHM_SRC_CLUSTER_DEPLOYMENT_H_
 
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "src/baseline/heracles.h"
@@ -50,6 +51,9 @@ struct SimArena;
 enum class ControllerKind { kNone, kRhythm, kHeracles };
 
 const char* ControllerKindName(ControllerKind kind);
+// Name lookup (src/common/names.h normalization: case and punctuation
+// ignored), "none" | "rhythm" | "heracles"; false for any other name.
+bool ParseControllerKindName(const std::string& name, ControllerKind* out);
 
 struct DeploymentConfig {
   LcAppKind app_kind = LcAppKind::kEcommerce;

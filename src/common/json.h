@@ -1,8 +1,15 @@
-// Shared JSON writing: the one escaping routine and the one %.17g double
-// rendering every JSON-emitting layer (obs exporters, the serving daemon,
-// bench artifacts) agrees on. Factored out of src/obs/exporters.cc so the
-// serving subsystem cannot drift from the recorder on number formatting —
-// bit-identical doubles across the batch/served boundary depend on it.
+// The program's one JSON module: the strict reader every JSON input goes
+// through (what-if bodies, daemon snapshots, obs JSONL recordings) and the
+// one escaping routine and %.17g double rendering every JSON-emitting layer
+// (obs exporters, the serving daemon, bench artifacts) agrees on — so the
+// serving subsystem cannot drift from the recorder on number formatting, and
+// bit-identical doubles across the batch/served boundary hold.
+//
+// ParseJson is a small recursive-descent parser producing a JsonValue tree.
+// It is strict where it matters for network-facing and replayed input:
+// trailing garbage, unterminated literals, invalid numbers (NaN/Inf/hex),
+// bad escapes and nesting past a fixed depth cap are all rejected. Integral
+// literals keep their exact 64-bit value, so seeds above 2^53 survive.
 //
 // JsonWriter is a small streaming writer with comma/nesting bookkeeping for
 // code that builds whole documents (responses, snapshots); the free
@@ -13,9 +20,60 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace rhythm {
+
+struct JsonValue {
+  enum class Type { kNull, kBool, kNumber, kString, kArray, kObject };
+
+  Type type = Type::kNull;
+  bool boolean = false;
+  // Every number, rounded to the nearest double.
+  double number = 0.0;
+  // A number's literal text as written, from which the integer accessors
+  // read integral literals exactly.
+  std::string literal;
+  std::string string;
+  std::vector<JsonValue> array;
+  // Insertion-ordered; duplicate keys are rejected at parse time.
+  std::vector<std::pair<std::string, JsonValue>> object;
+
+  bool is_null() const { return type == Type::kNull; }
+  bool is_bool() const { return type == Type::kBool; }
+  bool is_number() const { return type == Type::kNumber; }
+  bool is_string() const { return type == Type::kString; }
+  bool is_array() const { return type == Type::kArray; }
+  bool is_object() const { return type == Type::kObject; }
+
+  // Exact integer value of this number: true only for an integral literal
+  // (no fraction or exponent) that fits the target type. "1.5", "1e3" and,
+  // for GetUInt64, "-1" are not integers; nothing is rounded or wrapped.
+  bool GetInt64(int64_t* out) const;
+  bool GetUInt64(uint64_t* out) const;
+
+  // Object member lookup; null when absent or this is not an object.
+  const JsonValue* Find(const std::string& key) const;
+
+  // Typed member accessors with defaults. A present member of the wrong
+  // type (for IntOr/UIntOr: anything but an in-range integral literal) is
+  // NOT coerced — it yields the fallback; callers that must reject it use
+  // Find() and the Get* readers.
+  double NumberOr(const std::string& key, double fallback) const;
+  int64_t IntOr(const std::string& key, int64_t fallback) const;
+  uint64_t UIntOr(const std::string& key, uint64_t fallback) const;
+  bool BoolOr(const std::string& key, bool fallback) const;
+  std::string StringOr(const std::string& key, const std::string& fallback) const;
+};
+
+// Deepest container nesting the parser accepts (arrays + objects combined).
+inline constexpr int kMaxJsonDepth = 64;
+
+// Parses `text` as one JSON document. Returns true and fills `out` on
+// success; false with a "json:"-prefixed, position-stamped message in
+// `error` otherwise.
+bool ParseJson(const std::string& text, JsonValue* out, std::string* error);
 
 // %.17g keeps every double bit-exact across a write/parse round trip.
 std::string JsonNum(double value);

@@ -1,10 +1,8 @@
 #include "src/obs/exporters.h"
 
 #include <algorithm>
-#include <cctype>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
@@ -84,141 +82,85 @@ std::string DetailName(const ObsEvent& event) {
   return "";
 }
 
-// ---------------------------------------------------------------------------
-// Minimal JSON field extraction for the flat objects *we* write. Handles
-// arbitrary key order and skips unknown keys; not a general JSON parser.
-
-// Position just past `"key":`, or npos.
-size_t FindKey(const std::string& line, const char* key) {
-  const std::string needle = "\"" + std::string(key) + "\":";
-  const size_t at = line.find(needle);
-  if (at == std::string::npos) {
-    return std::string::npos;
-  }
-  return at + needle.size();
-}
-
-bool ParseNumber(const std::string& line, const char* key, double* out) {
-  const size_t at = FindKey(line, key);
-  if (at == std::string::npos) {
-    return false;
-  }
-  *out = std::strtod(line.c_str() + at, nullptr);
-  return true;
-}
-
-double RequireNumber(const std::string& line, const char* key) {
-  double value = 0.0;
-  if (!ParseNumber(line, key, &value)) {
-    throw std::runtime_error("recording JSONL: missing numeric field '" +
-                             std::string(key) + "' in: " + line);
-  }
-  return value;
-}
-
-// Reads the string literal starting at line[at] == '"'. Advances *at past the
-// closing quote.
-std::string ReadStringAt(const std::string& line, size_t* at) {
-  if (*at >= line.size() || line[*at] != '"') {
-    throw std::runtime_error("recording JSONL: expected string in: " + line);
-  }
-  std::string out;
-  for (size_t i = *at + 1; i < line.size(); ++i) {
-    const char c = line[i];
-    if (c == '"') {
-      *at = i + 1;
-      return out;
+// One JSONL line, parsed by the strict reader in src/common/json.h. Field
+// accessors throw std::runtime_error quoting the line when a field has the
+// wrong type or a required one is missing; the optional forms leave their
+// output untouched when the field is absent.
+class JsonlLine {
+ public:
+  explicit JsonlLine(const std::string& text) : text_(text) {
+    std::string error;
+    if (!ParseJson(text, &doc_, &error)) {
+      Fail(error);
     }
-    if (c != '\\') {
-      out += c;
-      continue;
-    }
-    if (i + 1 >= line.size()) {
-      break;
-    }
-    const char esc = line[++i];
-    switch (esc) {
-      case 'n':
-        out += '\n';
-        break;
-      case 't':
-        out += '\t';
-        break;
-      case 'u': {
-        if (i + 4 >= line.size()) {
-          throw std::runtime_error("recording JSONL: bad \\u escape in: " + line);
-        }
-        const std::string hex = line.substr(i + 1, 4);
-        out += static_cast<char>(std::strtol(hex.c_str(), nullptr, 16));
-        i += 4;
-        break;
-      }
-      default:
-        out += esc;  // \" and \\ (and anything else verbatim).
+    if (!doc_.is_object()) {
+      Fail("line is not a JSON object");
     }
   }
-  throw std::runtime_error("recording JSONL: unterminated string in: " + line);
-}
 
-bool ParseString(const std::string& line, const char* key, std::string* out) {
-  size_t at = FindKey(line, key);
-  if (at == std::string::npos) {
-    return false;
+  bool String(const char* key, std::string* out) const {
+    const JsonValue* value = Get(key, JsonValue::Type::kString);
+    if (value != nullptr) {
+      *out = value->string;
+    }
+    return value != nullptr;
   }
-  *out = ReadStringAt(line, &at);
-  return true;
-}
 
-// Parses `"key":["a","b",...]`.
-std::vector<std::string> ParseStringArray(const std::string& line, const char* key) {
-  std::vector<std::string> out;
-  size_t at = FindKey(line, key);
-  if (at == std::string::npos || at >= line.size() || line[at] != '[') {
+  bool Number(const char* key, double* out) const {
+    const JsonValue* value = Get(key, JsonValue::Type::kNumber);
+    if (value != nullptr) {
+      *out = value->number;
+    }
+    return value != nullptr;
+  }
+
+  double Number(const char* key) const {
+    double out = 0.0;
+    if (!Number(key, &out)) {
+      Fail(std::string("missing numeric field '") + key + "'");
+    }
     return out;
   }
-  ++at;
-  while (at < line.size() && line[at] != ']') {
-    if (line[at] == ',' || std::isspace(static_cast<unsigned char>(line[at]))) {
-      ++at;
-      continue;
-    }
-    out.push_back(ReadStringAt(line, &at));
-  }
-  return out;
-}
 
-// Parses `"points":[[t,v],[t,v],...]` into a TimeSeries.
-TimeSeries ParsePoints(const std::string& line) {
-  TimeSeries series;
-  size_t at = FindKey(line, "points");
-  if (at == std::string::npos || at >= line.size() || line[at] != '[') {
-    return series;
+  // Integers are read exactly (64-bit seeds and counters survive).
+  bool UInt(const char* key, uint64_t* out) const {
+    const JsonValue* value = Get(key, JsonValue::Type::kNumber);
+    if (value != nullptr && !value->GetUInt64(out)) {
+      Fail(std::string("field '") + key + "' is not an unsigned integer");
+    }
+    return value != nullptr;
   }
-  ++at;  // outer '['.
-  while (at < line.size() && line[at] != ']') {
-    if (line[at] != '[') {
-      ++at;
-      continue;
+
+  int64_t Int(const char* key) const {
+    const JsonValue* value = Get(key, JsonValue::Type::kNumber);
+    int64_t out = 0;
+    if (value == nullptr || !value->GetInt64(&out)) {
+      Fail(std::string("missing integer field '") + key + "'");
     }
-    ++at;  // inner '['.
-    char* end = nullptr;
-    const double time = std::strtod(line.c_str() + at, &end);
-    at = static_cast<size_t>(end - line.c_str());
-    while (at < line.size() && (line[at] == ',' || line[at] == ' ')) {
-      ++at;
-    }
-    const double value = std::strtod(line.c_str() + at, &end);
-    at = static_cast<size_t>(end - line.c_str());
-    series.Add(time, value);
-    while (at < line.size() && line[at] != ']') {
-      ++at;
-    }
-    if (at < line.size()) {
-      ++at;  // inner ']'.
-    }
+    return out;
   }
-  return series;
-}
+
+  // The array field `key`, or null when absent.
+  const JsonValue* Array(const char* key) const {
+    return Get(key, JsonValue::Type::kArray);
+  }
+
+  [[noreturn]] void Fail(const std::string& what) const {
+    throw std::runtime_error("recording JSONL: " + what + " in: " + text_);
+  }
+
+ private:
+  const JsonValue* Get(const char* key, JsonValue::Type type) const {
+    const JsonValue* value = doc_.Find(key);
+    if (value != nullptr && value->type != type) {
+      Fail(std::string("field '") + key + "' has the wrong type");
+    }
+    return value;
+  }
+
+  const std::string& text_;
+  JsonValue doc_;
+};
 
 bool WriteFile(const std::string& path, const std::string& content) {
   std::ofstream out(path, std::ios::binary);
@@ -374,60 +316,68 @@ Recording FromJsonl(const std::string& jsonl) {
   Recording recording;
   bool saw_meta = false;
   std::istringstream in(jsonl);
-  std::string line;
-  while (std::getline(in, line)) {
-    if (line.empty()) {
+  std::string text;
+  while (std::getline(in, text)) {
+    if (text.empty()) {
       continue;
     }
+    const JsonlLine line(text);
     std::string type;
-    if (!ParseString(line, "type", &type)) {
-      throw std::runtime_error("recording JSONL: line without \"type\": " + line);
+    if (!line.String("type", &type)) {
+      line.Fail("line without \"type\"");
     }
     if (type == "meta") {
       saw_meta = true;
-      ParseString(line, "app", &recording.meta.app);
-      ParseString(line, "be", &recording.meta.be);
-      ParseString(line, "controller", &recording.meta.controller);
-      double value = 0.0;
-      if (ParseNumber(line, "seed", &value)) {
-        recording.meta.seed = static_cast<uint64_t>(value);
+      RecordingMeta& meta = recording.meta;
+      line.String("app", &meta.app);
+      line.String("be", &meta.be);
+      line.String("controller", &meta.controller);
+      line.UInt("seed", &meta.seed);
+      line.Number("sla_ms", &meta.sla_ms);
+      line.Number("period_s", &meta.controller_period_s);
+      if (const JsonValue* pods = line.Array("pods")) {
+        for (const JsonValue& pod : pods->array) {
+          if (!pod.is_string()) {
+            line.Fail("\"pods\" must hold strings");
+          }
+          meta.pods.push_back(pod.string);
+        }
       }
-      ParseNumber(line, "sla_ms", &recording.meta.sla_ms);
-      ParseNumber(line, "period_s", &recording.meta.controller_period_s);
-      recording.meta.pods = ParseStringArray(line, "pods");
-      if (ParseNumber(line, "events_total", &value)) {
-        recording.events_total = static_cast<uint64_t>(value);
-      }
-      if (ParseNumber(line, "events_dropped", &value)) {
-        recording.events_dropped = static_cast<uint64_t>(value);
-      }
+      line.UInt("events_total", &recording.events_total);
+      line.UInt("events_dropped", &recording.events_dropped);
     } else if (type == "event") {
       ObsEvent event;
-      event.time_s = RequireNumber(line, "t");
-      event.machine = static_cast<int32_t>(RequireNumber(line, "machine"));
-      event.kind = static_cast<ObsKind>(static_cast<int>(RequireNumber(line, "k")));
-      event.code = static_cast<uint8_t>(RequireNumber(line, "code"));
-      event.detail = static_cast<uint8_t>(RequireNumber(line, "detail"));
-      event.a = RequireNumber(line, "a");
-      event.b = RequireNumber(line, "b");
-      event.c = RequireNumber(line, "c");
-      event.d = RequireNumber(line, "d");
+      event.time_s = line.Number("t");
+      event.machine = static_cast<int32_t>(line.Int("machine"));
+      event.kind = static_cast<ObsKind>(line.Int("k"));
+      event.code = static_cast<uint8_t>(line.Int("code"));
+      event.detail = static_cast<uint8_t>(line.Int("detail"));
+      event.a = line.Number("a");
+      event.b = line.Number("b");
+      event.c = line.Number("c");
+      event.d = line.Number("d");
       recording.events.push_back(event);
     } else if (type == "metric") {
       MetricsRegistry::Metric metric;
-      if (!ParseString(line, "name", &metric.name)) {
-        throw std::runtime_error("recording JSONL: metric without name: " + line);
+      if (!line.String("name", &metric.name)) {
+        line.Fail("metric without name");
       }
-      double value = 0.0;
-      if (ParseNumber(line, "mtype", &value)) {
-        metric.type = static_cast<MetricType>(static_cast<int>(value));
+      uint64_t mtype = 0;
+      if (line.UInt("mtype", &mtype)) {
+        metric.type = static_cast<MetricType>(mtype);
       }
-      ParseNumber(line, "q", &metric.quantile);
-      if (ParseNumber(line, "obs", &value)) {
-        metric.observations = static_cast<uint64_t>(value);
+      line.Number("q", &metric.quantile);
+      line.UInt("obs", &metric.observations);
+      line.Number("current", &metric.current);
+      if (const JsonValue* points = line.Array("points")) {
+        for (const JsonValue& point : points->array) {
+          if (!point.is_array() || point.array.size() != 2 ||
+              !point.array[0].is_number() || !point.array[1].is_number()) {
+            line.Fail("\"points\" must hold [time, value] pairs");
+          }
+          metric.timeline.Add(point.array[0].number, point.array[1].number);
+        }
       }
-      ParseNumber(line, "current", &metric.current);
-      metric.timeline = ParsePoints(line);
       recording.metrics.push_back(std::move(metric));
     }
     // Unknown types: skipped for forward compatibility.

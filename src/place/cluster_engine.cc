@@ -208,8 +208,12 @@ std::vector<ServpodThresholds> TrialThresholds(const AppPlacementModel& model,
   return thresholds;  // empty: Run() falls back to CachedAppThresholds.
 }
 
-RunRequest TrialRequest(const ClusterRunRequest& request,
-                        const GroupOutcome& outcome, int groups_per_epoch) {
+// `model_of` is the request's cached model source (RequestExecution's
+// model_of_), so the provider runs at most once per app per request.
+RunRequest TrialRequest(
+    const ClusterRunRequest& request, const GroupOutcome& outcome,
+    int groups_per_epoch,
+    const std::function<const AppPlacementModel&(LcAppKind)>& model_of) {
   RunRequest trial;
   trial.app = outcome.app;
   trial.be = outcome.be;
@@ -222,10 +226,7 @@ RunRequest TrialRequest(const ClusterRunRequest& request,
   trial.load = outcome.load;
   trial.verify = request.verify;
   if (request.controller == ControllerKind::kRhythm) {
-    AppPlacementModel model = request.model_provider
-                                  ? request.model_provider(outcome.app)
-                                  : DefaultPlacementModel(outcome.app);
-    trial.thresholds = TrialThresholds(model, outcome);
+    trial.thresholds = TrialThresholds(model_of(outcome.app), outcome);
   }
   trial.label = (request.label.empty() ? request.policy : request.label) +
                 "/e" + std::to_string(outcome.epoch) + "/g" +
@@ -578,7 +579,8 @@ class RequestExecution {
       GroupSlot& slot = slots_[static_cast<size_t>(g)];
       slot.outcome = index;
       slot.start_s = 0.0;
-      slot.trial_request = TrialRequest(request_, outcome, groups_per_epoch_);
+      slot.trial_request =
+          TrialRequest(request_, outcome, groups_per_epoch_, model_of_);
       slot.trial = std::make_unique<Trial>(slot.trial_request, TrialHooks{},
                                            &slot.arena);
       slot.trial->Start();
@@ -897,7 +899,8 @@ class RequestExecution {
   // BE re-admission backs off under a kBeAdmissionHold window per pod.
   RunRequest FailoverTrialRequest(const GroupOutcome& replacement,
                                   double start_s, int incarnation) {
-    RunRequest trial = TrialRequest(request_, replacement, groups_per_epoch_);
+    RunRequest trial =
+        TrialRequest(request_, replacement, groups_per_epoch_, model_of_);
     const double remaining = epoch_span_s_ - start_s;
     trial.warmup_s = std::min(request_.warmup_s, 0.5 * remaining);
     trial.measure_s = remaining - trial.warmup_s;

@@ -9,7 +9,6 @@
 #include "src/cluster/app_thresholds.h"
 #include "src/common/json.h"
 #include "src/place/cluster_engine.h"
-#include "src/serve/json.h"
 
 namespace rhythm {
 namespace {
@@ -379,8 +378,7 @@ bool RhythmDaemon::RestoreSnapshot(const std::string& path, std::string* error) 
   }
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    const uint64_t restored_seq =
-        static_cast<uint64_t>(doc.IntOr("audit_seq", 0));
+    const uint64_t restored_seq = doc.UIntOr("audit_seq", 0);
     // Never rewind the live sequence: restoring an old snapshot must not
     // make the daemon overwrite audit records it already wrote.
     if (restored_seq > audit_seq_) {
@@ -393,8 +391,8 @@ bool RhythmDaemon::RestoreSnapshot(const std::string& path, std::string* error) 
             continue;
           }
           EndpointStats& stats = stats_[entry.StringOr("endpoint", "?")];
-          stats.served += static_cast<uint64_t>(entry.IntOr("served", 0));
-          stats.errors += static_cast<uint64_t>(entry.IntOr("errors", 0));
+          stats.served += entry.UIntOr("served", 0);
+          stats.errors += entry.UIntOr("errors", 0);
         }
       }
     }

@@ -1,31 +1,20 @@
 #include "src/serve/whatif.h"
 
 #include <algorithm>
-#include <cctype>
+#include <limits>
 #include <map>
 #include <memory>
 #include <stdexcept>
 #include <vector>
 
 #include "src/common/json.h"
+#include "src/common/names.h"
 #include "src/fault/fault_schedule_io.h"
 #include "src/place/interference_score.h"
 #include "src/place/placement_policy.h"
 
 namespace rhythm {
 namespace {
-
-// "E-commerce" -> "ecommerce": the normalization behind name lookup.
-std::string Normalize(const std::string& name) {
-  std::string out;
-  out.reserve(name.size());
-  for (char c : name) {
-    if (std::isalnum(static_cast<unsigned char>(c))) {
-      out.push_back(static_cast<char>(std::tolower(static_cast<unsigned char>(c))));
-    }
-  }
-  return out;
-}
 
 [[noreturn]] void Reject(const std::string& what) {
   throw std::invalid_argument("whatif: " + what);
@@ -54,6 +43,40 @@ double RequireNumber(const JsonValue& object, const std::string& key,
   return value->number;
 }
 
+// Integer fields take an integral literal that fits the field, read
+// exactly: a fractional, negative-where-unsigned or out-of-range value is
+// rejected naming the key, never truncated, wrapped or cast out of range.
+uint64_t UIntField(const JsonValue& object, const std::string& key,
+                   uint64_t fallback, const char* context) {
+  const JsonValue* value = object.Find(key);
+  if (value == nullptr) {
+    return fallback;
+  }
+  uint64_t out = 0;
+  if (!value->GetUInt64(&out)) {
+    Reject(std::string(context) + ": \"" + key +
+           "\" must be an integer in [0, " +
+           std::to_string(std::numeric_limits<uint64_t>::max()) + "]");
+  }
+  return out;
+}
+
+int IntField(const JsonValue& object, const std::string& key, int fallback,
+             const char* context,
+             int min = std::numeric_limits<int>::min()) {
+  const JsonValue* value = object.Find(key);
+  if (value == nullptr) {
+    return fallback;
+  }
+  constexpr int kMax = std::numeric_limits<int>::max();
+  int64_t out = 0;
+  if (!value->GetInt64(&out) || out < min || out > kMax) {
+    Reject(std::string(context) + ": \"" + key + "\" must be an integer in [" +
+           std::to_string(min) + ", " + std::to_string(kMax) + "]");
+  }
+  return static_cast<int>(out);
+}
+
 std::shared_ptr<const FaultSchedule> ParseFaults(const JsonValue& array,
                                                  const char* context) {
   if (!array.is_array()) {
@@ -74,7 +97,8 @@ std::shared_ptr<const FaultSchedule> ParseFaults(const JsonValue& array,
       Reject("fault: unknown kind \"" + kind_name + "\"");
     }
     // "machine" is the cluster-scope spelling of the same field.
-    event.pod = static_cast<int>(entry.IntOr("pod", entry.IntOr("machine", 0)));
+    event.pod = IntField(entry, "pod", IntField(entry, "machine", 0, "fault"),
+                         "fault");
     event.start_s = entry.NumberOr("start_s", 0.0);
     event.duration_s = entry.NumberOr("duration_s", 0.0);
     event.magnitude = entry.NumberOr("magnitude", 0.0);
@@ -105,16 +129,23 @@ std::shared_ptr<const LoadProfile> ParseLoadProfile(const JsonValue& object) {
   RejectUnknownKeys(object,
                     {"kind", "load", "duration_s", "min_load", "max_load"},
                     "load_profile");
-  const std::string kind = Normalize(object.StringOr("kind", ""));
+  const std::string kind = NormalizeName(object.StringOr("kind", ""));
   if (kind == "constant") {
     return std::make_shared<ConstantLoad>(
         RequireNumber(object, "load", "load_profile"));
   }
   if (kind == "diurnal") {
-    return std::make_shared<DiurnalTrace>(
-        RequireNumber(object, "duration_s", "load_profile"),
-        RequireNumber(object, "min_load", "load_profile"),
-        RequireNumber(object, "max_load", "load_profile"));
+    const double duration_s = RequireNumber(object, "duration_s", "load_profile");
+    const double min_load = RequireNumber(object, "min_load", "load_profile");
+    const double max_load = RequireNumber(object, "max_load", "load_profile");
+    // DiurnalTrace CHECK-aborts on these; a request must get a 422 instead.
+    if (!(duration_s > 0.0)) {
+      Reject("load_profile: \"duration_s\" must be positive");
+    }
+    if (!(min_load >= 0.0 && min_load <= max_load && max_load <= 1.0)) {
+      Reject("load_profile: need 0 <= \"min_load\" <= \"max_load\" <= 1");
+    }
+    return std::make_shared<DiurnalTrace>(duration_s, min_load, max_load);
   }
   Reject("load_profile: kind must be \"constant\" or \"diurnal\"");
 }
@@ -139,7 +170,7 @@ RunRequest ParseTrial(const JsonValue& body) {
       !ParseControllerKindName(controller, &request.controller)) {
     Reject("unknown controller \"" + controller + "\"");
   }
-  request.seed = static_cast<uint64_t>(body.IntOr("seed", 11));
+  request.seed = UIntField(body, "seed", 11, "trial");
   request.load = body.NumberOr("load", request.load);
   request.warmup_s = body.NumberOr("warmup_s", request.warmup_s);
   request.measure_s = body.NumberOr("measure_s", request.measure_s);
@@ -170,7 +201,7 @@ RunRequest ParseTrial(const JsonValue& body) {
   }
   if (const JsonValue* invariants = body.Find("invariants")) {
     const std::string mode =
-        invariants->is_string() ? Normalize(invariants->string) : "";
+        invariants->is_string() ? NormalizeName(invariants->string) : "";
     if (mode == "collect") {
       request.verify.mode = InvariantMode::kCollect;
     } else if (mode != "off") {
@@ -180,11 +211,11 @@ RunRequest ParseTrial(const JsonValue& body) {
   return request;
 }
 
-ClusterSpec ParseClusterSpec(const JsonValue& body) {
-  const int machines = static_cast<int>(body.IntOr("machines", 32));
+ClusterSpec ParseClusterSpec(const JsonValue& body, const char* context) {
+  const int machines = IntField(body, "machines", 32, context, 1);
   if (body.BoolOr("synthetic", false)) {
-    const uint64_t spec_seed = static_cast<uint64_t>(
-        body.IntOr("synthetic_seed", body.IntOr("seed", 11)));
+    const uint64_t spec_seed = UIntField(
+        body, "synthetic_seed", UIntField(body, "seed", 11, context), context);
     return SyntheticClusterSpec(machines, spec_seed);
   }
   const JsonValue* demand = body.Find("lc_demand");
@@ -206,7 +237,7 @@ ClusterSpec ParseClusterSpec(const JsonValue& body) {
     if (!ParseLcAppKindName(app, &group.app)) {
       Reject("lc_demand: unknown app \"" + app + "\"");
     }
-    group.count = static_cast<int>(entry.IntOr("count", 1));
+    group.count = IntField(entry, "count", 1, "lc_demand");
     group.load = entry.NumberOr("load", group.load);
     spec.lc_demand.push_back(group);
   }
@@ -240,17 +271,17 @@ ClusterRunRequest ParseCluster(const JsonValue& body) {
                      "include_groups"},
                     "cluster");
   ClusterRunRequest request;
-  request.spec = ParseClusterSpec(body);
+  request.spec = ParseClusterSpec(body, "cluster");
   request.policy = body.StringOr("policy", request.policy);
   const std::string controller = body.StringOr("controller", "");
   if (!controller.empty() &&
       !ParseControllerKindName(controller, &request.controller)) {
     Reject("unknown controller \"" + controller + "\"");
   }
-  request.seed = static_cast<uint64_t>(body.IntOr("seed", 11));
+  request.seed = UIntField(body, "seed", 11, "cluster");
   request.warmup_s = body.NumberOr("warmup_s", request.warmup_s);
   request.measure_s = body.NumberOr("measure_s", request.measure_s);
-  request.epochs = static_cast<int>(body.IntOr("epochs", request.epochs));
+  request.epochs = IntField(body, "epochs", request.epochs, "cluster", 1);
   request.label = body.StringOr("label", "");
   if (const JsonValue* scales = body.Find("epoch_load_scale")) {
     if (!scales->is_array()) {
@@ -278,12 +309,9 @@ ClusterRunRequest ParseCluster(const JsonValue& body) {
                          "readmission_backoff_s", "degraded_dead_fraction"},
                         "supervisor");
       request.supervisor.enabled = supervisor->BoolOr("enabled", true);
-      if (const JsonValue* budget = supervisor->Find("migration_budget")) {
-        if (!budget->is_number()) {
-          Reject("supervisor: \"migration_budget\" must be a number");
-        }
-        request.supervisor.migration_budget = static_cast<int>(budget->number);
-      }
+      request.supervisor.migration_budget =
+          IntField(*supervisor, "migration_budget",
+                   request.supervisor.migration_budget, "supervisor");
       request.supervisor.readmission_backoff_s = supervisor->NumberOr(
           "readmission_backoff_s", request.supervisor.readmission_backoff_s);
       request.supervisor.degraded_dead_fraction = supervisor->NumberOr(
@@ -297,46 +325,12 @@ ClusterRunRequest ParseCluster(const JsonValue& body) {
 
 }  // namespace
 
-bool ParseLcAppKindName(const std::string& name, LcAppKind* out) {
-  const std::string wanted = Normalize(name);
-  for (LcAppKind kind : AllLcAppKinds()) {
-    if (Normalize(LcAppKindName(kind)) == wanted) {
-      *out = kind;
-      return true;
-    }
-  }
-  return false;
-}
-
-bool ParseBeJobKindName(const std::string& name, BeJobKind* out) {
-  const std::string wanted = Normalize(name);
-  for (BeJobKind kind : AllBeJobKinds()) {
-    if (Normalize(BeJobKindName(kind)) == wanted) {
-      *out = kind;
-      return true;
-    }
-  }
-  return false;
-}
-
-bool ParseControllerKindName(const std::string& name, ControllerKind* out) {
-  const std::string wanted = Normalize(name);
-  for (ControllerKind kind :
-       {ControllerKind::kNone, ControllerKind::kRhythm, ControllerKind::kHeracles}) {
-    if (Normalize(ControllerKindName(kind)) == wanted) {
-      *out = kind;
-      return true;
-    }
-  }
-  return false;
-}
-
 WhatIfQuery ParseWhatIfQuery(const JsonValue& body) {
   if (!body.is_object()) {
     Reject("body must be a JSON object");
   }
   WhatIfQuery query;
-  const std::string kind = Normalize(body.StringOr("kind", "trial"));
+  const std::string kind = NormalizeName(body.StringOr("kind", "trial"));
   if (kind == "trial") {
     query.kind = WhatIfQuery::Kind::kTrial;
     query.trial = ParseTrial(body);
@@ -510,10 +504,10 @@ std::string PlacementsResponseJson(const JsonValue& body) {
                     {"machines", "synthetic", "synthetic_seed", "lc_demand",
                      "be_backlog", "seed", "policies", "load_scale", "epoch"},
                     "placements");
-  const ClusterSpec spec = ParseClusterSpec(body);
-  const uint64_t seed = static_cast<uint64_t>(body.IntOr("seed", 11));
+  const ClusterSpec spec = ParseClusterSpec(body, "placements");
+  const uint64_t seed = UIntField(body, "seed", 11, "placements");
   const double load_scale = body.NumberOr("load_scale", 1.0);
-  const int epoch = static_cast<int>(body.IntOr("epoch", 0));
+  const int epoch = IntField(body, "epoch", 0, "placements");
 
   std::vector<std::string> policies = PlacementPolicyNames();
   if (const JsonValue* names = body.Find("policies")) {

@@ -7,16 +7,23 @@
 // same seed.
 //
 // Schema violations throw std::invalid_argument with a human-readable
-// message; the daemon maps them to 422 responses.
+// message; the daemon maps them to 422 responses. Integer fields ("seed",
+// "machines", "epochs", ...) are read exactly: a fractional, negative or
+// out-of-range value is a schema violation naming the key. The name parsers
+// (ParseLcAppKindName, ParseBeJobKindName, ParseControllerKindName) live
+// beside their enums and are reachable through this header's includes.
 
 #ifndef RHYTHM_SRC_SERVE_WHATIF_H_
 #define RHYTHM_SRC_SERVE_WHATIF_H_
 
 #include <string>
 
+#include "src/bemodel/be_job_spec.h"
+#include "src/cluster/deployment.h"
+#include "src/common/json.h"
 #include "src/place/cluster_engine.h"
 #include "src/runner/run_request.h"
-#include "src/serve/json.h"
+#include "src/workload/app_catalog.h"
 
 namespace rhythm {
 
@@ -31,12 +38,6 @@ struct WhatIfQuery {
   // ("include_groups": true) — large clusters make it big.
   bool include_groups = false;
 };
-
-// Catalog-name lookup, normalized (case-insensitive, punctuation ignored):
-// "e-commerce", "Ecommerce" and "E-COMMERCE" all name LcAppKind::kEcommerce.
-bool ParseLcAppKindName(const std::string& name, LcAppKind* out);
-bool ParseBeJobKindName(const std::string& name, BeJobKind* out);
-bool ParseControllerKindName(const std::string& name, ControllerKind* out);
 
 // Parses a /v1/whatif body (already JSON-decoded).
 WhatIfQuery ParseWhatIfQuery(const JsonValue& body);

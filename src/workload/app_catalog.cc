@@ -1,6 +1,7 @@
 #include "src/workload/app_catalog.h"
 
 #include "src/common/logging.h"
+#include "src/common/names.h"
 
 namespace rhythm {
 
@@ -442,6 +443,10 @@ const char* LcAppKindName(LcAppKind kind) {
       return "SNMS";
   }
   return "?";
+}
+
+bool ParseLcAppKindName(const std::string& name, LcAppKind* out) {
+  return ParseKindName(name, AllLcAppKinds(), LcAppKindName, out);
 }
 
 }  // namespace rhythm

@@ -66,6 +66,9 @@ AppSpec MakeEcommerceWithCacheMix(double hit_fraction);
 
 const std::vector<LcAppKind>& AllLcAppKinds();
 const char* LcAppKindName(LcAppKind kind);
+// Name lookup (src/common/names.h normalization: case and punctuation
+// ignored); false when no app has that name.
+bool ParseLcAppKindName(const std::string& name, LcAppKind* out);
 
 }  // namespace rhythm
 

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <map>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -228,6 +229,40 @@ TEST(ClusterFailoverTest, SupervisorFailsOverVictimsAndAccountsForThem) {
     EXPECT_LE(outcome.served_measure_s, request.measure_s);
   }
   EXPECT_TRUE(found_replacement);
+}
+
+// The request's model source is consulted once per app and cached: placing
+// groups, building their trials and building failover replacements all read
+// the same cached model, over two epochs with a machine loss.
+TEST(ClusterFailoverTest, ModelProviderRunsAtMostOncePerApp) {
+  ClusterRunRequest request = SmallRequest();
+  request.spec.machines = 18;
+  request.epochs = 2;
+  const int victim = FirstOccupiedMachine(request);
+  ASSERT_GE(victim, 0);
+  request.faults =
+      Schedule({{FaultKind::kMachineFailure, victim, 5.0, 0.0, 0.0}});
+  request.supervisor.enabled = true;
+  const ClusterSummary expected = RunCluster(request);
+
+  auto calls = std::make_shared<std::map<LcAppKind, int>>();
+  request.model_provider = [calls](LcAppKind app) {
+    ++(*calls)[app];
+    return StubModel(app);
+  };
+  const ClusterSummary counted = RunCluster(request);
+  ASSERT_GT(counted.groups_failed_over, 0);
+  EXPECT_EQ(calls->size(), request.spec.lc_demand.size());
+  for (const auto& [app, count] : *calls) {
+    EXPECT_EQ(count, 1) << LcAppKindName(app);
+  }
+  // Same model values, so the results are unchanged.
+  EXPECT_EQ(counted.emu, expected.emu);
+  EXPECT_EQ(counted.groups_failed_over, expected.groups_failed_over);
+  ASSERT_EQ(counted.groups.size(), expected.groups.size());
+  for (size_t i = 0; i < counted.groups.size(); ++i) {
+    EXPECT_EQ(counted.groups[i].summary.emu, expected.groups[i].summary.emu);
+  }
 }
 
 TEST(ClusterFailoverTest, RestartRejoinsTheMachine) {

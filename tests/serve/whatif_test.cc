@@ -10,7 +10,7 @@
 #include "src/place/cluster_engine.h"
 #include "src/runner/runner.h"
 #include "src/serve/daemon.h"
-#include "src/serve/json.h"
+#include "src/common/json.h"
 #include "tests/serve/http_client.h"
 
 namespace rhythm {
@@ -153,6 +153,18 @@ TEST(ParseWhatIfTest, LoadProfilesConstruct) {
       "{\"load_profile\":{\"kind\":\"diurnal\",\"duration_s\":600,"
       "\"min_load\":0.2,\"max_load\":0.8}}"));
   ASSERT_NE(diurnal.trial.profile, nullptr);
+
+  // Values the profile would CHECK-abort on are schema errors instead.
+  for (const std::string bad :
+       {"\"duration_s\":0,\"min_load\":0.2,\"max_load\":0.8",
+        "\"duration_s\":600,\"min_load\":0.9,\"max_load\":0.8",
+        "\"duration_s\":600,\"min_load\":-0.1,\"max_load\":0.8",
+        "\"duration_s\":600,\"min_load\":0.2,\"max_load\":1.5"}) {
+    const std::string body =
+        "{\"load_profile\":{\"kind\":\"diurnal\"," + bad + "}}";
+    EXPECT_THROW(ParseWhatIfQuery(MustParse(body)), std::invalid_argument)
+        << body;
+  }
 }
 
 TEST(WhatIfRenderTest, ResponseJsonReparsesAndEchoesTheRequest) {

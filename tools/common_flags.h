@@ -28,10 +28,12 @@
 #ifndef RHYTHM_TOOLS_COMMON_FLAGS_H_
 #define RHYTHM_TOOLS_COMMON_FLAGS_H_
 
+#include <charconv>
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
 #include <string>
+#include <system_error>
 
 namespace rhythm {
 
@@ -62,12 +64,21 @@ class FlagParser {
     return true;
   }
 
+  // Seeds are read exactly: the value must be all decimal digits within
+  // uint64_t ("1.5", "-1" and "1e3" do not match, so the caller reports
+  // them as bad options rather than running a truncated or wrapped seed).
   bool U64(const char* flag, uint64_t* out) {
     const char* value = Value(flag);
     if (value == nullptr) {
       return false;
     }
-    *out = std::strtoull(value, nullptr, 10);
+    const char* end = value + std::strlen(value);
+    uint64_t parsed = 0;
+    const auto [stop, status] = std::from_chars(value, end, parsed);
+    if (status != std::errc() || stop != end || stop == value) {
+      return false;
+    }
+    *out = parsed;
     return true;
   }
 

@@ -1,6 +1,6 @@
 // rhythm_cli: flag-driven experiment runner.
 //
-//   rhythm_cli run --app=<name> --be=<name> --controller=<rhythm|heracles>
+//   rhythm_cli run --app=<name> --be=<name> --controller=<none|rhythm|heracles>
 //              [--load=0.45] [--measure=120] [--warmup=20] [--seed=11] [--csv]
 //   rhythm_cli thresholds --app=<name>
 //   rhythm_cli profile --app=<name> [--measure=30]
@@ -9,102 +9,102 @@
 // BE names:  CPU-stress | stream-llc(big) | stream-llc(small) |
 //            stream-dram(big) | stream-dram(small) | iperf | wordcount |
 //            imageClassify | LSTM
+// Names match case-insensitively with punctuation ignored. An unknown flag
+// or name exits 2.
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <optional>
 #include <string>
 
 #include "src/rhythm.h"
+#include "tools/common_flags.h"
 
 using namespace rhythm;
 
 namespace {
 
-// Minimal --key=value parsing.
-std::optional<std::string> FlagValue(int argc, char** argv, const char* key) {
-  const std::string prefix = std::string("--") + key + "=";
-  for (int i = 2; i < argc; ++i) {
-    if (std::strncmp(argv[i], prefix.c_str(), prefix.size()) == 0) {
-      return std::string(argv[i] + prefix.size());
+struct CliOptions {
+  std::string app;
+  std::string be;
+  std::string controller;
+  double load = 0.45;
+  double warmup_s = 20.0;
+  double measure_s = 120.0;
+  uint64_t seed = 11;
+  bool csv = false;
+};
+
+// Parses the flags after the subcommand: `run` takes them all, `profile`
+// takes --app and --measure, `thresholds` only --app. False (after a
+// message) on an unknown flag.
+bool ParseFlags(int argc, char** argv, const std::string& command,
+                CliOptions* options) {
+  const bool run = command == "run";
+  FlagParser flags(argc - 1, argv + 1);  // starts after the subcommand.
+  while (flags.Next()) {
+    if (flags.Str("--app", &options->app) ||
+        (command != "thresholds" && flags.Double("--measure", &options->measure_s)) ||
+        (run && (flags.Str("--be", &options->be) ||
+                 flags.Str("--controller", &options->controller) ||
+                 flags.Double("--load", &options->load) ||
+                 flags.Double("--warmup", &options->warmup_s) ||
+                 flags.U64("--seed", &options->seed)))) {
+      continue;
     }
-  }
-  return std::nullopt;
-}
-
-bool HasFlag(int argc, char** argv, const char* key) {
-  const std::string flag = std::string("--") + key;
-  for (int i = 2; i < argc; ++i) {
-    if (flag == argv[i]) {
-      return true;
+    if (run && flags.Is("--csv")) {
+      options->csv = true;
+      continue;
     }
+    std::fprintf(stderr, "rhythm_cli %s: unknown or incomplete option '%s'\n",
+                 command.c_str(), flags.arg().c_str());
+    return false;
   }
-  return false;
+  return true;
 }
 
-double DoubleFlag(int argc, char** argv, const char* key, double fallback) {
-  const auto value = FlagValue(argc, argv, key);
-  return value.has_value() ? std::atof(value->c_str()) : fallback;
+// Reads --app with the shared name parser; false (after a message) when it
+// is missing or names no app.
+bool AppFlag(const CliOptions& options, const char* command, LcAppKind* app) {
+  if (!ParseLcAppKindName(options.app, app)) {
+    std::fprintf(stderr, "%s requires --app=<name> (unknown app '%s')\n", command,
+                 options.app.c_str());
+    return false;
+  }
+  return true;
 }
 
-std::optional<LcAppKind> ParseApp(const std::string& name) {
-  for (LcAppKind kind : AllLcAppKinds()) {
-    if (name == LcAppKindName(kind)) {
-      return kind;
-    }
-  }
-  return std::nullopt;
-}
-
-std::optional<BeJobKind> ParseBe(const std::string& name) {
-  for (BeJobKind kind : AllBeJobKinds()) {
-    if (name == GetBeJobSpec(kind).name) {
-      return kind;
-    }
-  }
-  return std::nullopt;
-}
-
-int CmdRun(int argc, char** argv) {
-  const auto app_name = FlagValue(argc, argv, "app");
-  const auto be_name = FlagValue(argc, argv, "be");
-  const auto controller_name = FlagValue(argc, argv, "controller");
-  if (!app_name || !be_name || !controller_name) {
-    std::fprintf(stderr, "run requires --app, --be and --controller\n");
-    return 2;
-  }
-  const auto app = ParseApp(*app_name);
-  const auto be = ParseBe(*be_name);
-  if (!app || !be) {
-    std::fprintf(stderr, "unknown app or BE name\n");
-    return 2;
-  }
+int CmdRun(const CliOptions& options) {
   RunRequest request;
-  request.app = *app;
-  request.be = *be;
-  request.controller =
-      *controller_name == "heracles" ? ControllerKind::kHeracles : ControllerKind::kRhythm;
-  request.warmup_s = DoubleFlag(argc, argv, "warmup", 20.0);
-  request.measure_s = DoubleFlag(argc, argv, "measure", 120.0);
-  request.seed = static_cast<uint64_t>(DoubleFlag(argc, argv, "seed", 11.0));
-  request.load = DoubleFlag(argc, argv, "load", 0.45);
-  const double load = request.load;
-  const ControllerKind controller = request.controller;
+  if (!AppFlag(options, "run", &request.app)) {
+    return 2;
+  }
+  if (!ParseBeJobKindName(options.be, &request.be) ||
+      !ParseControllerKindName(options.controller, &request.controller)) {
+    std::fprintf(stderr,
+                 "run requires --be=<name> and --controller=<none|rhythm|heracles> "
+                 "(got be '%s', controller '%s')\n",
+                 options.be.c_str(), options.controller.c_str());
+    return 2;
+  }
+  request.warmup_s = options.warmup_s;
+  request.measure_s = options.measure_s;
+  request.seed = options.seed;
+  request.load = options.load;
+  const char* app = LcAppKindName(request.app);
+  const char* be = BeJobKindName(request.be);
+  const char* controller = ControllerKindName(request.controller);
 
   const RunSummary s = Run(request);
-  if (HasFlag(argc, argv, "csv")) {
+  if (options.csv) {
     std::printf("app,be,controller,load,emu,be_throughput,cpu_util,membw_util,"
                 "worst_tail_ratio,sla_violations,be_kills\n");
-    std::printf("%s,%s,%s,%.3f,%.4f,%.4f,%.4f,%.4f,%.4f,%llu,%llu\n", LcAppKindName(*app),
-                GetBeJobSpec(*be).name.c_str(), ControllerKindName(controller), load,
-                s.emu, s.be_throughput, s.cpu_util, s.membw_util, s.worst_tail_ratio,
+    std::printf("%s,%s,%s,%.3f,%.4f,%.4f,%.4f,%.4f,%.4f,%llu,%llu\n", app, be,
+                controller, request.load, s.emu, s.be_throughput, s.cpu_util,
+                s.membw_util, s.worst_tail_ratio,
                 (unsigned long long)s.sla_violations, (unsigned long long)s.be_kills);
     return 0;
   }
-  std::printf("%s + %s under %s at %.0f%% load (%.0fs window):\n", LcAppKindName(*app),
-              GetBeJobSpec(*be).name.c_str(), ControllerKindName(controller),
-              load * 100.0, request.measure_s);
+  std::printf("%s + %s under %s at %.0f%% load (%.0fs window):\n", app, be,
+              controller, request.load * 100.0, request.measure_s);
   std::printf("  EMU            %8.3f\n", s.emu);
   std::printf("  BE throughput  %8.3f (normalized)\n", s.be_throughput);
   std::printf("  CPU util       %8.3f\n", s.cpu_util);
@@ -120,15 +120,13 @@ int CmdRun(int argc, char** argv) {
   return 0;
 }
 
-int CmdThresholds(int argc, char** argv) {
-  const auto app_name = FlagValue(argc, argv, "app");
-  const auto app = app_name ? ParseApp(*app_name) : std::nullopt;
-  if (!app) {
-    std::fprintf(stderr, "thresholds requires --app=<name>\n");
+int CmdThresholds(const CliOptions& options) {
+  LcAppKind app = LcAppKind::kEcommerce;
+  if (!AppFlag(options, "thresholds", &app)) {
     return 2;
   }
-  const AppSpec spec = MakeApp(*app);
-  const AppThresholds& thresholds = CachedAppThresholds(*app);
+  const AppSpec spec = MakeApp(app);
+  const AppThresholds& thresholds = CachedAppThresholds(app);
   std::printf("%-16s %10s %10s %14s\n", "Servpod", "loadlimit", "slacklimit", "contribution");
   for (int pod = 0; pod < spec.pod_count(); ++pod) {
     std::printf("%-16s %10.2f %10.3f %14.5f\n", spec.components[pod].name.c_str(),
@@ -138,17 +136,15 @@ int CmdThresholds(int argc, char** argv) {
   return 0;
 }
 
-int CmdProfile(int argc, char** argv) {
-  const auto app_name = FlagValue(argc, argv, "app");
-  const auto app = app_name ? ParseApp(*app_name) : std::nullopt;
-  if (!app) {
-    std::fprintf(stderr, "profile requires --app=<name>\n");
+int CmdProfile(const CliOptions& cli) {
+  LcAppKind app = LcAppKind::kEcommerce;
+  if (!AppFlag(cli, "profile", &app)) {
     return 2;
   }
   ProfileOptions options;
-  options.measure_s = DoubleFlag(argc, argv, "measure", 30.0);
-  const ProfileResult profile = ProfileSolo(*app, DefaultProfileLevels(), options);
-  const AppSpec spec = MakeApp(*app);
+  options.measure_s = cli.measure_s;
+  const ProfileResult profile = ProfileSolo(app, DefaultProfileLevels(), options);
+  const AppSpec spec = MakeApp(app);
   std::printf("load");
   for (int pod = 0; pod < spec.pod_count(); ++pod) {
     std::printf(",%s_mean_ms,%s_cov", spec.components[pod].name.c_str(),
@@ -169,20 +165,28 @@ int CmdProfile(int argc, char** argv) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (argc >= 2 && std::strcmp(argv[1], "run") == 0) {
-    return CmdRun(argc, argv);
+  const std::string command = argc >= 2 ? argv[1] : "";
+  int (*const handler)(const CliOptions&) =
+      command == "run"          ? CmdRun
+      : command == "thresholds" ? CmdThresholds
+      : command == "profile"    ? CmdProfile
+                                : nullptr;
+  if (handler == nullptr) {
+    std::fprintf(stderr,
+                 "usage:\n"
+                 "  rhythm_cli run --app=<name> --be=<name> "
+                 "--controller=<none|rhythm|heracles>\n"
+                 "             [--load=0.45] [--measure=120] [--warmup=20] [--seed=11] [--csv]\n"
+                 "  rhythm_cli thresholds --app=<name>\n"
+                 "  rhythm_cli profile --app=<name> [--measure=30]\n");
+    return 2;
   }
-  if (argc >= 2 && std::strcmp(argv[1], "thresholds") == 0) {
-    return CmdThresholds(argc, argv);
+  CliOptions options;
+  if (command == "profile") {
+    options.measure_s = 30.0;
   }
-  if (argc >= 2 && std::strcmp(argv[1], "profile") == 0) {
-    return CmdProfile(argc, argv);
+  if (!ParseFlags(argc, argv, command, &options)) {
+    return 2;
   }
-  std::fprintf(stderr,
-               "usage:\n"
-               "  rhythm_cli run --app=<name> --be=<name> --controller=<rhythm|heracles>\n"
-               "             [--load=0.45] [--measure=120] [--warmup=20] [--seed=11] [--csv]\n"
-               "  rhythm_cli thresholds --app=<name>\n"
-               "  rhythm_cli profile --app=<name> [--measure=30]\n");
-  return 2;
+  return handler(options);
 }

@@ -16,15 +16,6 @@ using namespace rhythm;
 
 namespace {
 
-LcAppKind ParseApp(const char* name) {
-  for (LcAppKind kind : AllLcAppKinds()) {
-    if (std::strcmp(name, LcAppKindName(kind)) == 0) {
-      return kind;
-    }
-  }
-  return LcAppKind::kEcommerce;
-}
-
 int Capture(const char* path, double seconds, LcAppKind kind) {
   Simulator sim;
   EventLog log;
@@ -88,7 +79,11 @@ int Stats(const char* path) {
 int main(int argc, char** argv) {
   if (argc >= 3 && std::strcmp(argv[1], "capture") == 0) {
     const double seconds = argc > 3 ? std::atof(argv[3]) : 5.0;
-    const LcAppKind app = argc > 4 ? ParseApp(argv[4]) : LcAppKind::kEcommerce;
+    LcAppKind app = LcAppKind::kEcommerce;
+    if (argc > 4 && !ParseLcAppKindName(argv[4], &app)) {
+      std::fprintf(stderr, "tracedump: unknown app '%s'\n", argv[4]);
+      return 2;
+    }
     return Capture(argv[2], seconds, app);
   }
   if (argc >= 3 && std::strcmp(argv[1], "stats") == 0) {
