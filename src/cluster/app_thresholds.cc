@@ -2,6 +2,7 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
@@ -12,6 +13,7 @@
 #include "src/cluster/deployment.h"
 #include "src/cluster/metrics.h"
 #include "src/common/logging.h"
+#include "src/common/shard_pool.h"
 
 namespace rhythm {
 
@@ -36,9 +38,8 @@ AppThresholds DeriveAppThresholds(LcAppKind app_kind, const ThresholdOptions& op
 
   // 4. slacklimit via Algorithm 1. Each probe runs the co-location with the
   //    candidate limits and reports whether the SLA was violated.
-  uint64_t probe_seed = options.profile.seed * 7919;
   const auto probe_once = [&](const std::vector<double>& slacklimits, double load,
-                              BeJobKind be) {
+                              BeJobKind be, uint64_t seed) {
     DeploymentConfig config;
     config.app_kind = app_kind;
     config.be_kind = be;
@@ -48,7 +49,7 @@ AppThresholds DeriveAppThresholds(LcAppKind app_kind, const ThresholdOptions& op
       config.thresholds[pod].loadlimit = result.pods[pod].loadlimit;
       config.thresholds[pod].slacklimit = slacklimits[pod];
     }
-    config.seed = ++probe_seed;
+    config.seed = seed;
     Deployment deployment(config);
     const ConstantLoad profile(load);
     deployment.Start(&profile);
@@ -64,15 +65,22 @@ AppThresholds DeriveAppThresholds(LcAppKind app_kind, const ThresholdOptions& op
     const double worst = deployment.tail_series().MaxIn(t0, deployment.sim().Now());
     return worst > 0.96 * deployment.sla_ms();
   };
+  // The (load, BE) grid of one iteration runs in parallel. Grid index j
+  // gets the seed a serial loop stopping at the first violation would give
+  // it, base + j + 1. That loop's verdict is set by the lowest violating
+  // index, and any violation gives the same verdict, so runs past it are
+  // speculative and their outcome is discarded. Only a clean iteration, which
+  // the serial loop also runs in full, lets Algorithm 1 probe again; base
+  // then advances by the grid size (see DESIGN.md §7).
+  const size_t grid = options.probe_loads.size() * options.probe_bes.size();
+  uint64_t seed_base = options.profile.seed * 7919;
   const SlaProbe probe = [&](const std::vector<double>& slacklimits) {
-    for (double load : options.probe_loads) {
-      for (BeJobKind be : options.probe_bes) {
-        if (probe_once(slacklimits, load, be)) {
-          return true;
-        }
-      }
-    }
-    return false;
+    const std::vector<bool> violated = ParallelFor(grid, [&](size_t j) {
+      return probe_once(slacklimits, options.probe_loads[j / options.probe_bes.size()],
+                        options.probe_bes[j % options.probe_bes.size()], seed_base + j + 1);
+    });
+    seed_base += grid;
+    return std::find(violated.begin(), violated.end(), true) != violated.end();
   };
   const std::vector<double> slacklimits =
       FindSlacklimits(normalized, probe, options.max_iterations);

@@ -1,8 +1,7 @@
 #include "src/cluster/profiler.h"
 
 #include "src/cluster/deployment.h"
-#include "src/common/logging.h"
-#include "src/trace/event_log.h"
+#include "src/common/shard_pool.h"
 #include "src/trace/sojourn_extractor.h"
 
 namespace rhythm {
@@ -14,6 +13,52 @@ std::vector<double> DefaultProfileLevels() {
   }
   return levels;
 }
+
+namespace {
+
+// What one load level contributes to the profile.
+struct LevelProfile {
+  std::vector<double> sojourn_ms;  // per pod.
+  std::vector<double> cov;         // per pod.
+  double tail_ms = 0.0;
+  uint64_t requests = 0;
+};
+
+LevelProfile ProfileLevel(LcAppKind app_kind, int pods, bool tracer, double load,
+                          uint64_t seed, const ProfileOptions& options) {
+  MeanSojournSink sojourns(TracerConfig{.program_base = 100, .num_pods = pods});
+  DeploymentConfig config;
+  config.app_kind = app_kind;
+  config.controller = ControllerKind::kNone;
+  config.enable_be = false;
+  config.record_sojourns = true;
+  config.seed = seed;
+  config.tail_window_s = options.measure_s;  // tail over the whole window.
+  if (tracer) {
+    config.sink = &sojourns;
+    config.noise_events_per_request = options.noise_events_per_request;
+  }
+  Deployment deployment(config);
+  const ConstantLoad profile(load);
+  deployment.Start(&profile);
+  deployment.RunFor(options.warmup_s);
+  deployment.service().ResetSojourns();
+  sojourns.Clear();
+  deployment.RunFor(options.measure_s);
+
+  LevelProfile level;
+  const SojournSummary summary = sojourns.Summary();
+  for (int pod = 0; pod < pods; ++pod) {
+    const RunningStats& stats = deployment.service().PodSojournStats(pod);
+    level.sojourn_ms.push_back(tracer ? summary.mean_sojourn_s[pod] * 1000.0 : stats.mean());
+    level.cov.push_back(stats.cov());
+  }
+  level.tail_ms = deployment.service().TailLatencyMs();
+  level.requests = deployment.service().completed_requests();
+  return level;
+}
+
+}  // namespace
 
 ProfileResult ProfileSolo(LcAppKind app_kind, const std::vector<double>& levels,
                           const ProfileOptions& options) {
@@ -27,44 +72,19 @@ ProfileResult ProfileSolo(LcAppKind app_kind, const std::vector<double>& levels,
   result.pod_cov.assign(pods, {});
   result.matrix.load_levels = levels;
 
-  for (size_t level = 0; level < levels.size(); ++level) {
-    EventLog log;
-    DeploymentConfig config;
-    config.app_kind = app_kind;
-    config.controller = ControllerKind::kNone;
-    config.enable_be = false;
-    config.record_sojourns = true;
-    config.seed = options.seed + level * 1009;
-    config.tail_window_s = options.measure_s;  // tail over the whole window.
-    if (tracer) {
-      config.sink = &log;
-      config.noise_events_per_request = options.noise_events_per_request;
-    }
-    Deployment deployment(config);
-    const ConstantLoad profile(levels[level]);
-    deployment.Start(&profile);
-    deployment.RunFor(options.warmup_s);
-    deployment.service().ResetSojourns();
-    log.Clear();
-    deployment.RunFor(options.measure_s);
-
-    if (tracer) {
-      const TracerConfig tracer_config{.program_base = 100, .num_pods = pods};
-      const SojournSummary summary = ExtractMeanSojourns(log.events(), tracer_config);
-      for (int pod = 0; pod < pods; ++pod) {
-        result.matrix.pod_sojourn_ms[pod].push_back(summary.mean_sojourn_s[pod] * 1000.0);
-      }
-    } else {
-      for (int pod = 0; pod < pods; ++pod) {
-        result.matrix.pod_sojourn_ms[pod].push_back(
-            deployment.service().PodSojournStats(pod).mean());
-      }
-    }
+  // Levels are independent runs seeded by level index, so they run in
+  // parallel and are gathered in level order.
+  const std::vector<LevelProfile> profiled = ParallelFor(levels.size(), [&](size_t level) {
+    return ProfileLevel(app_kind, pods, tracer, levels[level], options.seed + level * 1009,
+                        options);
+  });
+  for (const LevelProfile& level : profiled) {
     for (int pod = 0; pod < pods; ++pod) {
-      result.pod_cov[pod].push_back(deployment.service().PodSojournStats(pod).cov());
+      result.matrix.pod_sojourn_ms[pod].push_back(level.sojourn_ms[pod]);
+      result.pod_cov[pod].push_back(level.cov[pod]);
     }
-    result.matrix.tail_ms.push_back(deployment.service().TailLatencyMs());
-    result.requests_profiled += deployment.service().completed_requests();
+    result.matrix.tail_ms.push_back(level.tail_ms);
+    result.requests_profiled += level.requests;
   }
   return result;
 }

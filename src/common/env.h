@@ -2,8 +2,9 @@
 // runner, benches) agree on their meaning:
 //
 //   RHYTHM_FAST=1    fast (CI-scale) mode — benches shrink their sweeps.
-//   RHYTHM_JOBS=N    worker threads for the parallel experiment runner;
-//                    unset or 0 means hardware_concurrency.
+//   RHYTHM_JOBS=N    worker threads for the parallel experiment runner and
+//                    threshold derivation (ParallelFor); unset or 0 means
+//                    hardware_concurrency.
 //   RHYTHM_SHARDS=N  machine shards for the partitioned cluster engine
 //                    (intra-trial parallelism); unset or 0 falls back to
 //                    RHYTHM_JOBS, then hardware_concurrency. Results are

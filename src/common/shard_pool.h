@@ -15,6 +15,10 @@
 //
 // Threads persist across phases, so a caller advancing thousands of
 // conservative time windows pays thread creation once, not per window.
+//
+// ParallelFor, below, is the pool's work-claiming form for a batch of
+// independent jobs (the parallel runner's trials, threshold derivation's
+// profile levels and probes).
 
 #ifndef RHYTHM_SRC_COMMON_SHARD_POOL_H_
 #define RHYTHM_SRC_COMMON_SHARD_POOL_H_
@@ -25,6 +29,8 @@
 #include <functional>
 #include <mutex>
 #include <thread>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 namespace rhythm {
@@ -61,6 +67,32 @@ class ShardPool {
   bool shutdown_ = false;
   std::vector<std::exception_ptr> errors_;  // per shard, cleared each phase.
 };
+
+// Runs body(i) for every i in [0, n) on a ShardPool of min(jobs, n)
+// shards; jobs <= 0 means DefaultJobCount() (RHYTHM_JOBS, else
+// hardware_concurrency). Workers claim indices from one atomic counter, in
+// chunks when n is large. If bodies throw, indices above the lowest failing
+// one are not started (those in flight finish) and the lowest failing
+// index's exception is rethrown. One shard runs a plain loop on the caller.
+void ParallelForEachIndex(size_t n, int jobs, const std::function<void(size_t)>& body);
+
+// ParallelForEachIndex collecting fn(i) into a vector in index order: when
+// fn(i) depends only on i, the result is the same at any job count.
+template <typename Fn>
+auto ParallelFor(size_t n, Fn&& fn, int jobs = 0) {
+  using Result = std::invoke_result_t<Fn&, size_t>;
+  struct Slot {
+    Result value;  // one object per index: no std::vector<bool> word sharing.
+  };
+  std::vector<Slot> slots(n);
+  ParallelForEachIndex(n, jobs, [&](size_t i) { slots[i].value = fn(i); });
+  std::vector<Result> results;
+  results.reserve(n);
+  for (Slot& slot : slots) {
+    results.push_back(std::move(slot.value));
+  }
+  return results;
+}
 
 }  // namespace rhythm
 

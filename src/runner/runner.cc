@@ -1,8 +1,5 @@
 #include "src/runner/runner.h"
 
-#include <algorithm>
-#include <atomic>
-#include <exception>
 #include <vector>
 
 #include "src/common/env.h"
@@ -26,73 +23,8 @@ RunSummary Run(const RunRequest& request, const TrialHooks& hooks) {
 ParallelRunner::ParallelRunner(const RunnerOptions& options)
     : jobs_(options.jobs > 0 ? options.jobs : DefaultJobCount()) {}
 
-namespace {
-
-// Trials a worker claims per atomic increment. Plans of a few long trials
-// get chunk 1 (maximum balance, identical to pre-chunking claiming);
-// thousand-entry plans of tiny group trials get bigger chunks so workers
-// are not serialized on the shared counter — with ~8 chunks per worker the
-// tail imbalance stays under ~1/8 of a worker's share.
-size_t ChunkSizeFor(size_t trials, int workers) {
-  const size_t chunk = trials / (static_cast<size_t>(workers) * 8);
-  return std::clamp<size_t>(chunk, 1, 32);
-}
-
-}  // namespace
-
 std::vector<RunSummary> ParallelRunner::RunAll(const RunPlan& plan) const {
-  const size_t trials = plan.size();
-  std::vector<RunSummary> results(trials);
-  if (trials == 0) {
-    return results;
-  }
-
-  const int workers = static_cast<int>(std::min<size_t>(jobs_, trials));
-  if (workers <= 1) {
-    for (size_t i = 0; i < trials; ++i) {
-      results[i] = Run(plan.requests[i]);
-    }
-    return results;
-  }
-
-  const size_t chunk = ChunkSizeFor(trials, workers);
-  std::atomic<size_t> next{0};
-  // Lowest plan index that failed so far; trials past it are not started
-  // (those already in flight finish), and its exception is rethrown.
-  std::atomic<size_t> first_error{trials};
-  std::vector<std::exception_ptr> error_by_trial(trials);
-
-  ShardPool pool(workers);
-  pool.RunPhase([&](int) {
-    for (;;) {
-      const size_t begin = next.fetch_add(chunk, std::memory_order_relaxed);
-      if (begin >= trials) {
-        return;
-      }
-      const size_t end = std::min(begin + chunk, trials);
-      for (size_t i = begin; i < end; ++i) {
-        if (i >= first_error.load(std::memory_order_acquire)) {
-          return;
-        }
-        try {
-          results[i] = Run(plan.requests[i]);
-        } catch (...) {
-          error_by_trial[i] = std::current_exception();
-          size_t expected = first_error.load(std::memory_order_acquire);
-          while (i < expected &&
-                 !first_error.compare_exchange_weak(expected, i,
-                                                    std::memory_order_acq_rel)) {
-          }
-        }
-      }
-    }
-  });
-
-  const size_t failed = first_error.load(std::memory_order_acquire);
-  if (failed < trials) {
-    std::rethrow_exception(error_by_trial[failed]);
-  }
-  return results;
+  return ParallelFor(plan.size(), [&](size_t i) { return Run(plan.requests[i]); }, jobs_);
 }
 
 }  // namespace rhythm

@@ -44,6 +44,30 @@ struct SojournSummary {
 
 // Aggregate, pairing-mismatch-immune extraction: per pod,
 //   mean = (sum outbound timestamps - sum inbound timestamps) / visits.
+// Streaming form: the sink does the per-event work as each event arrives,
+// so a capture window costs O(pods) memory instead of a buffered log. Fed
+// the same events in the same order, Summary() is bit-identical to
+// ExtractMeanSojourns over them.
+class MeanSojournSink final : public EventSink {
+ public:
+  explicit MeanSojournSink(const TracerConfig& config);
+
+  void Record(const KernelEvent& event) override;
+
+  // Forgets every event seen so far (the start of a measurement window).
+  void Clear();
+
+  SojournSummary Summary() const;
+
+ private:
+  TracerConfig config_;
+  std::vector<double> net_time_;    // per pod: sum outbound - sum inbound.
+  std::vector<uint64_t> visits_;
+  uint64_t requests_ = 0;
+  uint64_t noise_filtered_ = 0;
+};
+
+// The same extraction over a buffered log (feeds a MeanSojournSink).
 SojournSummary ExtractMeanSojourns(std::span<const KernelEvent> events,
                                    const TracerConfig& config);
 

@@ -1,11 +1,15 @@
 // ShardPool: phase barrier semantics, caller participation as shard 0,
 // lowest-shard-first exception propagation, and pool reuse across phases
-// (including after a throwing phase).
+// (including after a throwing phase). ParallelFor: results in index order,
+// at most min(jobs, n) threads, lowest failing index rethrown.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <mutex>
+#include <set>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -92,6 +96,61 @@ TEST(ShardPoolTest, ClampsShardCountToOne) {
   int runs = 0;
   pool.RunPhase([&](int) { ++runs; });
   EXPECT_EQ(runs, 1);
+}
+
+TEST(ShardPoolTest, ParallelForReturnsResultsInIndexOrder) {
+  for (int jobs : {1, 3, 8}) {
+    const std::vector<size_t> squares = ParallelFor(
+        100, [](size_t i) { return i * i; }, jobs);
+    ASSERT_EQ(squares.size(), 100u);
+    for (size_t i = 0; i < squares.size(); ++i) {
+      EXPECT_EQ(squares[i], i * i) << "jobs " << jobs;
+    }
+    // bool results land in their own slots (no shared std::vector<bool>
+    // words written from several threads).
+    const std::vector<bool> odd = ParallelFor(
+        37, [](size_t i) { return i % 2 == 1; }, jobs);
+    for (size_t i = 0; i < odd.size(); ++i) {
+      EXPECT_EQ(odd[i], i % 2 == 1) << "jobs " << jobs;
+    }
+  }
+  EXPECT_TRUE(ParallelFor(0, [](size_t) { return 1; }, 4).empty());
+}
+
+TEST(ShardPoolTest, ParallelForNeverRunsMoreThreadsThanJobs) {
+  // Three jobs on a 64-job budget run on at most three threads, the caller
+  // among them.
+  std::mutex mu;
+  std::set<std::thread::id> threads;
+  ParallelFor(
+      3,
+      [&](size_t) {
+        std::lock_guard<std::mutex> lock(mu);
+        threads.insert(std::this_thread::get_id());
+        return 0;
+      },
+      64);
+  EXPECT_LE(threads.size(), 3u);
+  EXPECT_GE(threads.size(), 1u);
+}
+
+TEST(ShardPoolTest, ParallelForRethrowsLowestFailingIndex) {
+  for (int jobs : {1, 4}) {
+    try {
+      ParallelFor(
+          40,
+          [](size_t i) {
+            if (i == 7 || i == 23) {
+              throw std::runtime_error("index " + std::to_string(i));
+            }
+            return i;
+          },
+          jobs);
+      FAIL() << "expected a rethrow";
+    } catch (const std::runtime_error& error) {
+      EXPECT_STREQ(error.what(), "index 7") << "jobs " << jobs;
+    }
+  }
 }
 
 }  // namespace

@@ -5,6 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <span>
+#include <vector>
+
 #include "src/sim/simulator.h"
 #include "src/trace/cpg_builder.h"
 #include "src/trace/event_log.h"
@@ -119,6 +124,62 @@ TEST(TracerIntegrationTest, CpgLatencyMatchesEndToEnd) {
     expected += pod_ms;
   }
   EXPECT_NEAR(mean_latency, expected, expected * 0.05);
+}
+
+// Bit-exact comparison of two summaries: the streaming sink must reproduce
+// the buffered extraction, not approximate it.
+void ExpectSameSummary(const SojournSummary& actual, const SojournSummary& expected) {
+  ASSERT_EQ(actual.mean_sojourn_s.size(), expected.mean_sojourn_s.size());
+  for (size_t pod = 0; pod < expected.mean_sojourn_s.size(); ++pod) {
+    EXPECT_EQ(std::bit_cast<uint64_t>(actual.mean_sojourn_s[pod]),
+              std::bit_cast<uint64_t>(expected.mean_sojourn_s[pod]))
+        << "pod " << pod << ": " << actual.mean_sojourn_s[pod] << " vs "
+        << expected.mean_sojourn_s[pod];
+  }
+  EXPECT_EQ(actual.visits, expected.visits);
+  EXPECT_EQ(actual.requests, expected.requests);
+  EXPECT_EQ(actual.noise_filtered, expected.noise_filtered);
+}
+
+TEST(TracerIntegrationTest, StreamingSinkMatchesBufferedExtraction) {
+  // A noisy, persistent-connection Redis stream: fan-out visits, ephemeral
+  // reply ports and filtered noise all exercise the per-event paths.
+  TraceRun run = RunTraced(LcAppKind::kRedis, 0.3, true, 0.5);
+  const TracerConfig config{.program_base = 100, .num_pods = 2};
+  ASSERT_GT(run.log.size(), 1000u);
+  MeanSojournSink sink(config);
+  for (const KernelEvent& event : run.log.events()) {
+    sink.Record(event);
+  }
+  const SojournSummary streamed = sink.Summary();
+  EXPECT_GT(streamed.noise_filtered, 0u);
+  EXPECT_GT(streamed.requests, 0u);
+  ExpectSameSummary(streamed, ExtractMeanSojourns(run.log.events(), config));
+}
+
+TEST(TracerIntegrationTest, StreamingSinkClearStartsANewWindow) {
+  // Clear() mid-stream (the profiler's end of warm-up) must leave exactly
+  // the extraction over the events that follow it.
+  TraceRun run = RunTraced(LcAppKind::kEcommerce, 0.4, false, 1.0);
+  const TracerConfig config{.program_base = 100, .num_pods = 4};
+  const std::vector<KernelEvent>& events = run.log.events();
+  const size_t cut = events.size() / 3;
+  MeanSojournSink sink(config);
+  for (size_t i = 0; i < events.size(); ++i) {
+    if (i == cut) {
+      sink.Clear();
+    }
+    sink.Record(events[i]);
+  }
+  const std::span<const KernelEvent> after(events.data() + cut, events.size() - cut);
+  ExpectSameSummary(sink.Summary(), ExtractMeanSojourns(after, config));
+  // A cleared sink with nothing recorded reports an empty window.
+  sink.Clear();
+  const SojournSummary empty = sink.Summary();
+  EXPECT_EQ(empty.requests, 0u);
+  EXPECT_EQ(empty.noise_filtered, 0u);
+  EXPECT_EQ(empty.visits, std::vector<uint64_t>(4, 0));
+  EXPECT_EQ(empty.mean_sojourn_s, std::vector<double>(4, 0.0));
 }
 
 }  // namespace

@@ -30,7 +30,6 @@
 
 #include <charconv>
 #include <cstdint>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <system_error>
@@ -55,41 +54,15 @@ class FlagParser {
   // `--flag value` / `--flag=value` matchers: on match they consume the
   // value and return true; a matching flag missing its value is NOT
   // consumed (false).
-  bool Int(const char* flag, int* out) {
-    const char* value = Value(flag);
-    if (value == nullptr) {
-      return false;
-    }
-    *out = std::atoi(value);
-    return true;
-  }
+  // Numbers are read exactly: the whole value must parse as the type, so
+  // "1e3" or "7x" for an int, "1.5" or "-1" for a seed, "0.5s" for a double
+  // and out-of-range values do not match, and the caller reports them as
+  // bad options rather than running a truncated, zeroed or wrapped value.
+  bool Int(const char* flag, int* out) { return Number(flag, out); }
 
-  // Seeds are read exactly: the value must be all decimal digits within
-  // uint64_t ("1.5", "-1" and "1e3" do not match, so the caller reports
-  // them as bad options rather than running a truncated or wrapped seed).
-  bool U64(const char* flag, uint64_t* out) {
-    const char* value = Value(flag);
-    if (value == nullptr) {
-      return false;
-    }
-    const char* end = value + std::strlen(value);
-    uint64_t parsed = 0;
-    const auto [stop, status] = std::from_chars(value, end, parsed);
-    if (status != std::errc() || stop != end || stop == value) {
-      return false;
-    }
-    *out = parsed;
-    return true;
-  }
+  bool U64(const char* flag, uint64_t* out) { return Number(flag, out); }
 
-  bool Double(const char* flag, double* out) {
-    const char* value = Value(flag);
-    if (value == nullptr) {
-      return false;
-    }
-    *out = std::atof(value);
-    return true;
-  }
+  bool Double(const char* flag, double* out) { return Number(flag, out); }
 
   bool Str(const char* flag, std::string* out) {
     const char* value = Value(flag);
@@ -101,7 +74,7 @@ class FlagParser {
   }
 
   // `--flag on|off` (also accepts true/false/1/0; anything else reads as
-  // off, matching the tools' permissive numeric parsing).
+  // off).
   bool OnOff(const char* flag, bool* out) {
     const char* value = Value(flag);
     if (value == nullptr) {
@@ -113,6 +86,22 @@ class FlagParser {
   }
 
  private:
+  template <typename T>
+  bool Number(const char* flag, T* out) {
+    const char* value = Value(flag);
+    if (value == nullptr) {
+      return false;
+    }
+    const char* end = value + std::strlen(value);
+    T parsed{};
+    const auto [stop, status] = std::from_chars(value, end, parsed);
+    if (status != std::errc() || stop != end || stop == value) {
+      return false;
+    }
+    *out = parsed;
+    return true;
+  }
+
   const char* Value(const char* flag) {
     const char* arg = argv_[index_];
     const size_t length = std::strlen(flag);
