@@ -1,79 +1,8 @@
 #include "src/control/cluster_supervisor.h"
 
-#include <map>
 #include <stdexcept>
-#include <string>
-
-#include "src/common/logging.h"
 
 namespace rhythm {
-
-MachineRoster::MachineRoster(int machines)
-    : state_(static_cast<size_t>(machines), kFree) {
-  RHYTHM_CHECK(machines > 0);
-}
-
-bool MachineRoster::IsAlive(int machine) const {
-  return machine >= 0 && machine < machines() &&
-         state_[static_cast<size_t>(machine)] != kDead;
-}
-
-bool MachineRoster::MarkDown(int machine) {
-  if (machine < 0 || machine >= machines() ||
-      state_[static_cast<size_t>(machine)] == kDead) {
-    return false;
-  }
-  state_[static_cast<size_t>(machine)] = kDead;
-  ++down_;
-  return true;
-}
-
-bool MachineRoster::MarkUp(int machine) {
-  if (machine < 0 || machine >= machines() ||
-      state_[static_cast<size_t>(machine)] != kDead) {
-    return false;
-  }
-  state_[static_cast<size_t>(machine)] = kFree;  // rejoins come back empty.
-  --down_;
-  return true;
-}
-
-int MachineRoster::Allocate(int pods) {
-  if (pods <= 0 || pods > machines()) {
-    return -1;
-  }
-  int run = 0;
-  for (int m = 0; m < machines(); ++m) {
-    if (state_[static_cast<size_t>(m)] == kFree) {
-      if (++run == pods) {
-        const int first = m - pods + 1;
-        for (int k = first; k <= m; ++k) {
-          state_[static_cast<size_t>(k)] = kOccupied;
-        }
-        return first;
-      }
-    } else {
-      run = 0;
-    }
-  }
-  return -1;
-}
-
-void MachineRoster::Release(int first, int pods) {
-  for (int m = first; m < first + pods; ++m) {
-    if (m >= 0 && m < machines() && state_[static_cast<size_t>(m)] == kOccupied) {
-      state_[static_cast<size_t>(m)] = kFree;
-    }
-  }
-}
-
-void MachineRoster::ReleaseAll() {
-  for (uint8_t& state : state_) {
-    if (state == kOccupied) {
-      state = kFree;
-    }
-  }
-}
 
 ClusterSupervisor::ClusterSupervisor(int machines, const SupervisorOptions& options)
     : roster_(machines), options_(options) {
@@ -92,72 +21,20 @@ bool ClusterSupervisor::degraded() const {
              options_.degraded_dead_fraction * roster_.machines();
 }
 
-std::vector<FailoverDecision> ClusterSupervisor::PlanFailover(
-    PlacementPolicy& policy, const ClusterView& victims,
-    const std::vector<int>& original_groups) {
-  RHYTHM_CHECK(victims.pending.size() == original_groups.size());
-  std::vector<FailoverDecision> plan;
-  if (!options_.enabled || victims.pending.empty()) {
-    return plan;
-  }
-
-  policy.OnTick(victims);
-  std::vector<PlacementDecision> decisions = policy.Decide(victims);
-
-  // Same decision contract as epoch placement: exactly one decision per
-  // victim, non-solo BEs drawn from the quota multiset.
-  if (decisions.size() != victims.pending.size()) {
-    throw std::invalid_argument("failover policy \"" + policy.name() + "\" returned " +
-                                std::to_string(decisions.size()) + " decisions for " +
-                                std::to_string(victims.pending.size()) + " victims");
-  }
-  std::vector<bool> decided(victims.pending.size(), false);
-  std::map<BeJobKind, int> quota_left;
-  for (BeJobKind be : victims.be_quota) {
-    ++quota_left[be];
-  }
-  for (const PlacementDecision& decision : decisions) {
-    if (decision.group < 0 ||
-        decision.group >= static_cast<int>(victims.pending.size()) ||
-        decided[static_cast<size_t>(decision.group)]) {
-      throw std::invalid_argument("failover policy \"" + policy.name() +
-                                  "\" decided victim " + std::to_string(decision.group) +
-                                  " zero or multiple times");
+std::vector<PlacementAssignment> ClusterSupervisor::PlanFailover(
+    PlacementPolicy& policy, const ClusterView& victims) {
+  if (!options_.enabled) {
+    std::vector<PlacementAssignment> lost(victims.pending.size());
+    for (size_t v = 0; v < lost.size(); ++v) {
+      lost[v].group = static_cast<int>(v);
     }
-    decided[static_cast<size_t>(decision.group)] = true;
-    if (!decision.run_solo && --quota_left[decision.be] < 0) {
-      throw std::invalid_argument("failover policy \"" + policy.name() +
-                                  "\" overdraws the victim BE quota");
-    }
+    return lost;
   }
-
-  // Enact in priority order under the migration budget; degraded mode
-  // forces solo. A victim that fits nowhere (or falls past the budget) comes
-  // back with first_machine = -1 — lost, not silently dropped.
-  const bool solo_everything = degraded();
-  int budget = options_.migration_budget;
-  plan.reserve(decisions.size());
-  for (const PlacementDecision& decision : decisions) {
-    const PendingGroup& victim = victims.pending[static_cast<size_t>(decision.group)];
-    FailoverDecision out;
-    out.group = original_groups[static_cast<size_t>(decision.group)];
-    out.be = decision.be;
-    out.run_solo = decision.run_solo || solo_everything;
-    out.score = decision.score;
-    if (budget > 0) {
-      out.first_machine = roster_.Allocate(victim.pods);
-      if (out.first_machine >= 0) {
-        --budget;
-        ++migrations_;
-      }
-    }
-    plan.push_back(out);
-  }
-  return plan;
+  return RunPlacementRound(policy, victims, roster_, degraded(),
+                           options_.migration_budget);
 }
 
-void ClusterSupervisor::ObserveBarrier(const ClusterTickSnapshot& snapshot) {
-  (void)snapshot;
+void ClusterSupervisor::ObserveBarrier() {
   if (degraded()) {
     ++degraded_barriers_;
   }

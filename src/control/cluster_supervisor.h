@@ -6,13 +6,14 @@
 // cluster rests in a consistent state. The engine kills the trials of groups
 // whose machines died, then hands the supervisor the victims; the supervisor
 // consults the regular PlacementPolicy registry for priority/BE/solo choices
-// and re-places whole groups onto contiguous runs of surviving free machines,
-// bounded by a per-barrier migration budget. Replacements re-warm and carry a
-// BE re-admission backoff (a kBeAdmissionHold window), so failover costs what
-// it should. When the dead fraction reaches the survivability threshold the
-// supervisor flips to degraded mode: every subsequent placement — epoch or
-// failover — runs solo, suspending BE cluster-wide until enough machines
-// rejoin.
+// and re-places whole groups onto contiguous runs of surviving free machines
+// through the same placement round as epoch placement
+// (src/place/placement_round.h), bounded by a per-barrier migration budget.
+// Replacements re-warm and carry a BE re-admission backoff (a
+// kBeAdmissionHold window), so failover costs what it should. When the dead
+// fraction reaches the survivability threshold the supervisor flips to
+// degraded mode: every subsequent placement — epoch or failover — runs
+// solo, suspending BE cluster-wide until enough machines rejoin.
 //
 // Determinism contract: everything here runs on the coordinating thread
 // between Advance calls, consumes only slot-order-merged state, and draws no
@@ -27,12 +28,10 @@
 #ifndef RHYTHM_SRC_CONTROL_CLUSTER_SUPERVISOR_H_
 #define RHYTHM_SRC_CONTROL_CLUSTER_SUPERVISOR_H_
 
-#include <cstdint>
 #include <limits>
 #include <vector>
 
-#include "src/control/cluster_tick.h"
-#include "src/place/placement_policy.h"
+#include "src/place/placement_round.h"
 
 namespace rhythm {
 
@@ -54,87 +53,36 @@ struct SupervisorOptions {
   double degraded_dead_fraction = 0.5;
 };
 
-// Machine liveness + occupancy, the allocation substrate for both epoch
-// placement and failover. First-fit over contiguous alive+free runs: with
-// every machine alive this is exactly the cursor allocation the engine used
-// before failure domains existed, which is what keeps fault-free runs
-// bit-identical.
-class MachineRoster {
- public:
-  explicit MachineRoster(int machines);
-
-  int machines() const { return static_cast<int>(state_.size()); }
-  int down() const { return down_; }
-  int alive() const { return machines() - down_; }
-  bool IsAlive(int machine) const;
-
-  // Loss/rejoin transitions. Return false (and change nothing) when the
-  // machine is already in the target state — duplicate schedule events
-  // degrade to no-ops.
-  bool MarkDown(int machine);
-  bool MarkUp(int machine);
-
-  // Lowest-index contiguous run of `pods` alive+free machines, marked
-  // occupied; -1 when no such run exists.
-  int Allocate(int pods);
-
-  // Frees the surviving machines of [first, first + pods); dead ones stay
-  // dead (they free on rejoin).
-  void Release(int first, int pods);
-
-  // Epoch boundary: every occupied machine frees; dead machines stay dead.
-  void ReleaseAll();
-
- private:
-  enum State : uint8_t { kFree = 0, kOccupied = 1, kDead = 2 };
-  std::vector<uint8_t> state_;
-  int down_ = 0;
-};
-
-// One victim group's failover plan, in policy priority order.
-struct FailoverDecision {
-  int group = 0;  // PendingGroup::group of the victim (original numbering).
-  BeJobKind be = BeJobKind::kCpuStress;
-  bool run_solo = false;
-  double score = 0.0;
-  int first_machine = -1;  // -1: lost (budget exhausted or nothing fits).
-};
-
 class ClusterSupervisor {
  public:
   ClusterSupervisor(int machines, const SupervisorOptions& options);
 
   MachineRoster& roster() { return roster_; }
-  const MachineRoster& roster() const { return roster_; }
-  const SupervisorOptions& options() const { return options_; }
-  bool enabled() const { return options_.enabled; }
 
   // Degraded while enabled and the dead fraction sits at/above the
   // survivability threshold. Rejoins can clear it.
   bool degraded() const;
 
-  // Failover plan for the victim groups. `victims.pending` must be
-  // renumbered 0..n-1 (PlacementDecision::group indexes the pending list);
-  // `original_groups[i]` maps entry i back to the real group id. Applies the
-  // migration budget and degraded mode, allocates from the roster, and
-  // validates the policy's decision contract (one decision per victim, BEs
-  // from the quota multiset). Returns decisions in policy priority order.
-  std::vector<FailoverDecision> PlanFailover(PlacementPolicy& policy,
-                                             const ClusterView& victims,
-                                             const std::vector<int>& original_groups);
+  // Failover plan for the victim groups: the placement round over
+  // `victims` (pending renumbered 0..n-1, quota = the victims' epoch BEs)
+  // under the migration budget, forced solo when degraded. Assignments come
+  // back in policy priority order and name their victim by index into
+  // `victims.pending`; first_machine == -1 marks a lost victim. Disabled,
+  // the policy is not consulted and every victim comes back lost, in victim
+  // order.
+  std::vector<PlacementAssignment> PlanFailover(PlacementPolicy& policy,
+                                                const ClusterView& victims);
 
   // Barrier accounting: counts barriers spent degraded (for
   // ClusterSummary::degraded_barriers).
-  void ObserveBarrier(const ClusterTickSnapshot& snapshot);
+  void ObserveBarrier();
 
   int degraded_barriers() const { return degraded_barriers_; }
-  int migrations() const { return migrations_; }
 
  private:
   MachineRoster roster_;
   SupervisorOptions options_;
   int degraded_barriers_ = 0;
-  int migrations_ = 0;
 };
 
 }  // namespace rhythm

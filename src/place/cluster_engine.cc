@@ -14,6 +14,7 @@
 #include "src/control/machine_agent.h"
 #include "src/obs/exporters.h"
 #include "src/obs/merge.h"
+#include "src/place/placement_round.h"
 #include "src/runner/trial.h"
 #include "src/sim/sharded_engine.h"
 #include "src/verify/cluster_invariants.h"
@@ -208,8 +209,12 @@ std::vector<ServpodThresholds> TrialThresholds(const AppPlacementModel& model,
   return thresholds;  // empty: Run() falls back to CachedAppThresholds.
 }
 
-// `model_of` is the request's cached model source (RequestExecution's
-// model_of_), so the provider runs at most once per app per request.
+// The trial of one placed incarnation. `model_of` is the request's cached
+// model source, so the provider runs at most once per app per request. A
+// failover replacement (incarnation > 0) re-warms inside what is left of the
+// epoch: warmup is the request's, shrunk so at least half the remaining span
+// measures, its seed comes from the failover stream family, and BE
+// re-admission backs off under a kBeAdmissionHold window per pod.
 RunRequest TrialRequest(
     const ClusterRunRequest& request, const GroupOutcome& outcome,
     int groups_per_epoch,
@@ -231,47 +236,63 @@ RunRequest TrialRequest(
   trial.label = (request.label.empty() ? request.policy : request.label) +
                 "/e" + std::to_string(outcome.epoch) + "/g" +
                 std::to_string(outcome.group);
+  if (outcome.incarnation == 0) {
+    return trial;
+  }
+
+  const double remaining =
+      request.warmup_s + request.measure_s - outcome.start_s;
+  trial.warmup_s = std::min(request.warmup_s, 0.5 * remaining);
+  trial.measure_s = remaining - trial.warmup_s;
+  trial.seed = DeriveFailoverSeed(request.seed, outcome.epoch,
+                                  groups_per_epoch, outcome.group,
+                                  outcome.incarnation);
+  trial.label += "/f" + std::to_string(outcome.incarnation);
+  if (!outcome.run_solo && request.supervisor.readmission_backoff_s > 0.0) {
+    auto holds = std::make_shared<FaultSchedule>();
+    for (int pod = 0; pod < outcome.pods; ++pod) {
+      FaultEvent hold;
+      hold.kind = FaultKind::kBeAdmissionHold;
+      hold.pod = pod;
+      hold.start_s = 0.0;
+      hold.duration_s = request.supervisor.readmission_backoff_s;
+      holds->Add(hold);
+    }
+    trial.faults = std::move(holds);
+  }
   return trial;
 }
 
-// Executes one validated ClusterRunRequest on the partitioned engine:
-// per-epoch placement over the machine roster, windowed simulation split
-// into segments at machine-loss barriers, supervisor failover, and the
-// cluster-scope invariant checks. Everything here runs on the coordinating
-// thread between Advance calls and draws no randomness, so results stay
-// bit-identical at any shard count; with no machine faults scheduled the
-// execution reduces exactly to the pre-failure-domain engine (one segment
-// per epoch, first-fit allocation == the old cursor, served fractions
-// exactly 1.0).
+// Executes one validated ClusterRunRequest on the partitioned engine, one
+// epoch at a time in phases: place (the placement round over the machine
+// roster) → build (start the placed groups' trials) → advance (windowed
+// simulation, split into segments at machine-loss barriers) → barrier
+// (enact losses, kill victims, fail them over through the same placement
+// round, audit, fire hooks) → harvest. Everything here runs on the
+// coordinating thread between Advance calls and draws no randomness, so
+// results stay bit-identical at any shard count; with no machine faults
+// scheduled each epoch is one segment, first-fit allocation hands out the
+// machines a cursor would, and served fractions are exactly 1.0.
 class RequestExecution {
  public:
   explicit RequestExecution(const ClusterRunRequest& request)
       : request_(request),
         groups_per_epoch_(request.spec.TotalGroups()),
         epoch_span_s_(request.warmup_s + request.measure_s),
+        model_of_(CachedPlacementModels(request.model_provider)),
         policy_(MakePlacementPolicy(request.policy, request.seed)),
         supervisor_(request.spec.machines, request.supervisor),
         checker_(request.verify, request.spec.machines),
         transitions_(BuildTransitions(request, epoch_span_s_)),
         loss_owner_(static_cast<size_t>(request.spec.machines), -1),
-        slots_(static_cast<size_t>(request.spec.TotalGroups())) {
-    model_of_ = [this](LcAppKind app) -> const AppPlacementModel& {
-      auto it = models_.find(app);
-      if (it == models_.end()) {
-        AppPlacementModel model = request_.model_provider
-                                      ? request_.model_provider(app)
-                                      : DefaultPlacementModel(app);
-        it = models_.emplace(app, std::move(model)).first;
-      }
-      return it->second;
-    };
-  }
+        slots_(static_cast<size_t>(request.spec.TotalGroups())) {}
 
   void Run(ShardedEngine& engine) {
     engine_ = &engine;
     size_t next = 0;
     for (int epoch = 0; epoch < request_.epochs; ++epoch) {
-      BeginEpoch(epoch, next);
+      PlaceEpoch(epoch, next);
+      BuildEpoch();
       double from = 0.0;
       while (true) {
         double barrier = epoch_span_s_;
@@ -330,8 +351,9 @@ class RequestExecution {
 
     const double machines = static_cast<double>(request_.spec.machines);
     std::map<LcAppKind, size_t> app_index;
-    std::vector<double> app_weight;  // served-fraction sums, per app entry.
-    double placed_pod_ticks = 0.0;   // pods * served / period, summed.
+    std::vector<double> app_weight;     // served-fraction sums, per app entry.
+    std::vector<double> app_pod_ticks;  // pods * served / period, per app.
+    double placed_pod_ticks = 0.0;      // the same, summed over every app.
 
     for (const GroupOutcome& outcome : outcomes_) {
       if (outcome.incarnation == 0) {
@@ -351,6 +373,7 @@ class RequestExecution {
         summary.per_app.push_back(AppClusterStats{});
         summary.per_app.back().app = outcome.app;
         app_weight.push_back(0.0);
+        app_pod_ticks.push_back(0.0);
       }
       AppClusterStats& app = summary.per_app[it->second];
       if (!outcome.placed) {
@@ -365,6 +388,8 @@ class RequestExecution {
       // rollup.
       const double fraction = outcome.served_measure_s / request_.measure_s;
       const double weight = fraction * (outcome.pods / machines);
+      const double pod_ticks = outcome.pods * outcome.served_measure_s /
+                               MachineAgent::kPeriodSeconds;
       summary.emu += weight * outcome.summary.emu;
       summary.lc_throughput += weight * outcome.summary.lc_throughput;
       summary.be_throughput += weight * outcome.summary.be_throughput;
@@ -374,11 +399,11 @@ class RequestExecution {
       summary.be_kills += outcome.summary.be_kills;
       summary.worst_tail_ratio =
           std::max(summary.worst_tail_ratio, outcome.summary.worst_tail_ratio);
-      placed_pod_ticks += outcome.pods * outcome.served_measure_s /
-                          MachineAgent::kPeriodSeconds;
+      placed_pod_ticks += pod_ticks;
 
       ++app.trials;
       app_weight[it->second] += fraction;
+      app_pod_ticks[it->second] += pod_ticks;
       app.emu += fraction * outcome.summary.emu;
       app.lc_throughput += fraction * outcome.summary.lc_throughput;
       app.sla_violations += outcome.summary.sla_violations;
@@ -403,6 +428,10 @@ class RequestExecution {
       if (app_weight[a] > 0.0) {
         app.emu /= app_weight[a];
         app.lc_throughput /= app_weight[a];
+      }
+      if (app_pod_ticks[a] > 0.0) {
+        app.slo_violation_rate =
+            static_cast<double>(app.sla_violations) / app_pod_ticks[a];
       }
     }
 
@@ -437,14 +466,21 @@ class RequestExecution {
     SimArena arena;
     RunRequest trial_request;
     std::unique_ptr<Trial> trial;
-    size_t outcome = 0;   // into outcomes_ — the live incarnation.
-    double start_s = 0.0;  // epoch-local start of the live incarnation.
-    int incarnations = 0;  // replacements started this epoch.
+    size_t outcome = 0;  // into outcomes_ — the live incarnation.
     std::exception_ptr error;
     std::vector<ObsEvent> tick_events;  // written only by the owning shard.
   };
 
-  void BeginEpoch(int epoch, size_t& next) {
+  // A group whose machines died at the current barrier.
+  struct Victim {
+    int slot = 0;
+    double latency_s = 0.0;  // barrier time minus the earliest scheduled loss.
+  };
+
+  // Place phase: reset the epoch, enact the liveness edges quantized to its
+  // start (so the policy never lands groups on machines already gone), run
+  // the placement round over every group, and record placement and churn.
+  void PlaceEpoch(int epoch, size_t& next) {
     supervisor_.roster().ReleaseAll();
     epoch_disrupted_ = 0;
     epoch_failed_over_ = 0;
@@ -452,103 +488,50 @@ class RequestExecution {
     epoch_outcomes_begin_ = outcomes_.size();
     for (GroupSlot& slot : slots_) {
       slot.trial.reset();  // the old trial references the old request.
-      slot.incarnations = 0;
-      slot.start_s = 0.0;
     }
-
-    // Losses/rejoins quantized to this epoch's start enact before placement,
-    // so the policy's epoch never lands groups on machines already gone.
     EnactTransitions(epoch, 0.0, next);
 
     const double now_s = epoch * epoch_span_s_;
     const double scale = EpochLoadScale(request_, epoch);
-
-    ClusterView view;
-    view.spec = &request_.spec;
-    view.epoch = epoch;
-    view.load_scale = scale;
-    view.pending = ExpandGroups(request_.spec);
-    for (PendingGroup& group : view.pending) {
-      group.load = std::clamp(group.load * scale, 0.0, 1.0);
-    }
-    view.be_quota = ExpandBeQuota(request_.spec, groups_per_epoch_);
-    view.model = model_of_;
-
+    const ClusterView view = EpochView(request_.spec, epoch, scale, model_of_);
     events_.push_back(PlacementEvent(now_s, ObsPlacementOp::kEpochBegin, -1,
                                      epoch, scale, 0.0, 0.0));
 
-    policy_->OnTick(view);
-    std::vector<PlacementDecision> decisions = policy_->Decide(view);
-
-    // Contract checks: exactly one decision per pending group, BEs drawn
-    // from the quota multiset.
-    if (decisions.size() != view.pending.size()) {
-      throw std::invalid_argument("placement policy \"" + request_.policy +
-                                  "\" returned " +
-                                  std::to_string(decisions.size()) +
-                                  " decisions for " +
-                                  std::to_string(view.pending.size()) +
-                                  " groups");
-    }
-    std::vector<bool> decided(view.pending.size(), false);
-    std::map<BeJobKind, int> quota_left;
-    for (BeJobKind be : view.be_quota) {
-      ++quota_left[be];
-    }
-    for (const PlacementDecision& decision : decisions) {
-      if (decision.group < 0 || decision.group >= groups_per_epoch_ ||
-          decided[decision.group]) {
-        throw std::invalid_argument(
-            "placement policy \"" + request_.policy +
-            "\" decided group " + std::to_string(decision.group) +
-            " zero or multiple times");
-      }
-      decided[decision.group] = true;
-      if (!decision.run_solo && --quota_left[decision.be] < 0) {
-        throw std::invalid_argument("placement policy \"" + request_.policy +
-                                    "\" overdraws the BE quota");
-      }
-    }
-
-    // Allocate machines in decision (priority) order from the roster —
-    // first-fit over contiguous alive+free runs, which with every machine
-    // alive is exactly the old cursor allocation. A decision that no longer
-    // fits is skipped, so smaller later groups may still land. Degraded mode
-    // suspends BE cluster-wide by forcing every placement solo.
-    const bool solo_everything = supervisor_.degraded();
-    std::vector<GroupOutcome> epoch_placement(view.pending.size());
-    for (const PlacementDecision& decision : decisions) {
-      const PendingGroup& group = view.pending[decision.group];
-      GroupOutcome& outcome = epoch_placement[decision.group];
+    std::vector<GroupOutcome> placement(view.pending.size());
+    for (const PlacementAssignment& assignment :
+         RunPlacementRound(*policy_, view, supervisor_.roster(),
+                           supervisor_.degraded())) {
+      const PendingGroup& group = view.pending[assignment.group];
+      GroupOutcome& outcome = placement[assignment.group];
       outcome.epoch = epoch;
       outcome.group = group.group;
       outcome.app = group.app;
-      outcome.be = decision.be;
-      outcome.run_solo = decision.run_solo || solo_everything;
+      outcome.be = assignment.be;
+      outcome.run_solo = assignment.run_solo;
       outcome.pods = group.pods;
       outcome.load = group.load;
-      outcome.score = decision.score;
-      const int first = supervisor_.roster().Allocate(group.pods);
-      if (first >= 0) {
-        outcome.placed = true;
-        outcome.first_machine = first;
-        machines_used_ = std::max(machines_used_, first + group.pods);
+      outcome.score = assignment.score;
+      outcome.placed = assignment.first_machine >= 0;
+      outcome.first_machine = assignment.first_machine;
+      if (outcome.placed) {
+        machines_used_ =
+            std::max(machines_used_, outcome.first_machine + group.pods);
       }
       const ObsPlacementOp op = !outcome.placed ? ObsPlacementOp::kGroupUnplaced
                                 : outcome.run_solo ? ObsPlacementOp::kGroupSolo
                                                    : ObsPlacementOp::kGroupPlaced;
       const uint8_t detail = op == ObsPlacementOp::kGroupPlaced
-                                 ? static_cast<uint8_t>(decision.be)
+                                 ? static_cast<uint8_t>(assignment.be)
                                  : uint8_t{0};
       events_.push_back(PlacementEvent(now_s, op, outcome.first_machine,
-                                       group.group, group.pods, decision.score,
-                                       group.load, detail));
+                                       group.group, group.pods,
+                                       assignment.score, group.load, detail));
     }
 
     // Churn: any group whose effective assignment changed since last epoch.
     if (!previous_.empty()) {
-      for (size_t g = 0; g < epoch_placement.size(); ++g) {
-        const GroupOutcome& now = epoch_placement[g];
+      for (size_t g = 0; g < placement.size(); ++g) {
+        const GroupOutcome& now = placement[g];
         const GroupOutcome& was = previous_[g];
         const bool same = now.placed == was.placed &&
                           now.run_solo == was.run_solo &&
@@ -563,31 +546,36 @@ class RequestExecution {
         }
       }
     }
-    previous_ = epoch_placement;
-    outcomes_.insert(outcomes_.end(), epoch_placement.begin(),
-                     epoch_placement.end());
+    previous_ = placement;
+    outcomes_.insert(outcomes_.end(), placement.begin(), placement.end());
+  }
 
-    // Build this epoch's trials serially in slot order, so validation
-    // errors surface lowest slot first — the flat runner's first-error
-    // order.
-    for (int g = 0; g < groups_per_epoch_; ++g) {
-      const size_t index = epoch_outcomes_begin_ + static_cast<size_t>(g);
-      const GroupOutcome& outcome = outcomes_[index];
-      if (!outcome.placed) {
-        continue;
+  // Build phase: start the epoch's placed groups serially in slot order, so
+  // validation errors surface lowest slot first — the flat runner's
+  // first-error order.
+  void BuildEpoch() {
+    for (size_t index = epoch_outcomes_begin_; index < outcomes_.size();
+         ++index) {
+      if (outcomes_[index].placed) {
+        StartTrial(index);
       }
-      GroupSlot& slot = slots_[static_cast<size_t>(g)];
-      slot.outcome = index;
-      slot.start_s = 0.0;
-      slot.trial_request =
-          TrialRequest(request_, outcome, groups_per_epoch_, model_of_);
-      slot.trial = std::make_unique<Trial>(slot.trial_request, TrialHooks{},
-                                           &slot.arena);
-      slot.trial->Start();
     }
   }
 
-  // Advances every live trial from `from` to `to` (epoch-local) in
+  // Starts the trial of outcomes_[index] — an epoch placement or a failover
+  // replacement — in its group's slot.
+  void StartTrial(size_t index) {
+    const GroupOutcome& outcome = outcomes_[index];
+    GroupSlot& slot = slots_[static_cast<size_t>(outcome.group)];
+    slot.outcome = index;
+    slot.trial_request =
+        TrialRequest(request_, outcome, groups_per_epoch_, model_of_);
+    slot.trial =
+        std::make_unique<Trial>(slot.trial_request, TrialHooks{}, &slot.arena);
+    slot.trial->Start();
+  }
+
+  // Advance phase: every live trial from `from` to `to` (epoch-local) in
   // conservative windows. When `suppress_final` is set, `to` is a machine-
   // loss barrier: the last window's snapshot is deferred until after the
   // enactment (EnactBarrier emits it), so hooks never observe a half-applied
@@ -610,7 +598,7 @@ class RequestExecution {
       GroupSlot* home = &slot;
       const int group = outcome.group;
       const int first_machine = outcome.first_machine;
-      const double start_s = slot.start_s;
+      const double start_s = outcome.start_s;
       // Captures copies and slot pointers only: outcomes_ grows when
       // failovers start, so no reference into it may outlive this scope.
       unit.advance = [trial, home, group, first_machine, start_s, epoch_base_s,
@@ -733,9 +721,9 @@ class RequestExecution {
         degraded ? uint8_t{1} : uint8_t{0}));
   }
 
-  // A mid-epoch machine-loss barrier: enact the liveness edges, kill and
-  // harvest the victims, run supervisor failover, then emit the deferred
-  // barrier snapshot over the settled cluster.
+  // Barrier phase at a mid-epoch machine-loss barrier: enact the liveness
+  // edges, kill and harvest the victims, fail them over, then emit the
+  // deferred barrier snapshot over the settled cluster.
   void EnactBarrier(int epoch, double window_s, size_t& next) {
     const double cluster_t = epoch * epoch_span_s_ + window_s;
     std::vector<std::pair<int, double>> newly_lost;
@@ -743,8 +731,7 @@ class RequestExecution {
 
     // Victims: live groups whose machine range took a hit at THIS barrier.
     // Machines that were already dead killed their groups when they died.
-    std::vector<int> victim_slots;
-    std::vector<double> victim_latency;
+    std::vector<Victim> victims;
     for (int g = 0; g < groups_per_epoch_; ++g) {
       GroupSlot& slot = slots_[static_cast<size_t>(g)];
       if (slot.trial == nullptr) {
@@ -759,19 +746,18 @@ class RequestExecution {
         }
       }
       if (!std::isinf(earliest)) {
-        victim_slots.push_back(g);
-        victim_latency.push_back(cluster_t - earliest);
+        victims.push_back(Victim{g, cluster_t - earliest});
       }
     }
 
     // Kill: harvest what the victim served, free its surviving machines.
-    for (int g : victim_slots) {
-      GroupSlot& slot = slots_[static_cast<size_t>(g)];
+    for (const Victim& victim : victims) {
+      GroupSlot& slot = slots_[static_cast<size_t>(victim.slot)];
       GroupOutcome& outcome = outcomes_[slot.outcome];
       outcome.summary = slot.trial->Harvest();
       outcome.disrupted = true;
       outcome.served_measure_s =
-          std::clamp(window_s - slot.start_s - slot.trial_request.warmup_s,
+          std::clamp(window_s - outcome.start_s - slot.trial_request.warmup_s,
                      0.0, slot.trial_request.measure_s);
       slot.trial.reset();
       supervisor_.roster().Release(outcome.first_machine, outcome.pods);
@@ -779,75 +765,37 @@ class RequestExecution {
       ++epoch_disrupted_;
     }
 
-    if (!victim_slots.empty()) {
-      Failover(epoch, window_s, cluster_t, victim_slots, victim_latency);
+    if (!victims.empty()) {
+      Failover(epoch, window_s, cluster_t, victims);
     }
 
     AtBarrier(epoch, window_s);
   }
 
+  // Re-places the victims through the supervisor's placement round. The
+  // victim view renumbers them 0..n-1 (an assignment names its victim by
+  // that index), and the quota re-offers each victim's epoch BE assignment.
   void Failover(int epoch, double window_s, double cluster_t,
-                const std::vector<int>& victim_slots,
-                const std::vector<double>& victim_latency) {
-    // Victim view, renumbered 0..n-1 (PlacementDecision::group indexes the
-    // pending list); the quota re-offers each victim's epoch BE assignment.
-    ClusterView victims;
-    victims.spec = &request_.spec;
-    victims.epoch = epoch;
-    victims.load_scale = EpochLoadScale(request_, epoch);
-    victims.model = model_of_;
-    std::vector<int> original_groups;
-    original_groups.reserve(victim_slots.size());
-    for (int g : victim_slots) {
-      const GroupOutcome& dead = outcomes_[slots_[static_cast<size_t>(g)].outcome];
-      PendingGroup pending;
-      pending.group = static_cast<int>(victims.pending.size());
-      pending.app = dead.app;
-      pending.load = dead.load;
-      pending.pods = dead.pods;
-      victims.pending.push_back(pending);
-      victims.be_quota.push_back(dead.be);
-      original_groups.push_back(dead.group);
+                const std::vector<Victim>& victims) {
+    ClusterView view;
+    view.spec = &request_.spec;
+    view.epoch = epoch;
+    view.load_scale = EpochLoadScale(request_, epoch);
+    view.model = model_of_;
+    for (const Victim& victim : victims) {
+      const GroupOutcome& dead =
+          outcomes_[slots_[static_cast<size_t>(victim.slot)].outcome];
+      view.pending.push_back(PendingGroup{static_cast<int>(view.pending.size()),
+                                          dead.app, dead.load, dead.pods});
+      view.be_quota.push_back(dead.be);
     }
 
-    std::vector<FailoverDecision> plan =
-        supervisor_.PlanFailover(*policy_, victims, original_groups);
-
-    // Latency lookup by original group id (victim_slots holds slot == group).
-    auto latency_of = [&](int group) {
-      for (size_t v = 0; v < victim_slots.size(); ++v) {
-        if (original_groups[v] == group) {
-          return victim_latency[v];
-        }
-      }
-      return 0.0;
-    };
-    auto slot_of = [&](int group) -> GroupSlot& {
-      for (size_t v = 0; v < victim_slots.size(); ++v) {
-        if (original_groups[v] == group) {
-          return slots_[static_cast<size_t>(victim_slots[v])];
-        }
-      }
-      throw std::logic_error("failover decision names a non-victim group");
-    };
-
-    if (plan.empty()) {
-      // Supervisor disabled: every victim is lost for the rest of the epoch.
-      for (int g : victim_slots) {
-        const GroupOutcome& dead = outcomes_[slots_[static_cast<size_t>(g)].outcome];
-        ++groups_lost_;
-        ++epoch_lost_;
-        events_.push_back(PlacementEvent(cluster_t, ObsPlacementOp::kGroupDown,
-                                         dead.first_machine, dead.group,
-                                         dead.pods, 0.0, 0.0));
-      }
-      return;
-    }
-
-    for (const FailoverDecision& decision : plan) {
-      GroupSlot& slot = slot_of(decision.group);
+    for (const PlacementAssignment& assignment :
+         supervisor_.PlanFailover(*policy_, view)) {
+      const Victim& victim = victims[static_cast<size_t>(assignment.group)];
+      GroupSlot& slot = slots_[static_cast<size_t>(victim.slot)];
       const GroupOutcome dead = outcomes_[slot.outcome];  // copy: vector grows.
-      if (decision.first_machine < 0) {
+      if (assignment.first_machine < 0) {
         ++groups_lost_;
         ++epoch_lost_;
         events_.push_back(PlacementEvent(cluster_t, ObsPlacementOp::kGroupDown,
@@ -856,72 +804,34 @@ class RequestExecution {
         continue;
       }
 
-      const int incarnation = ++slot.incarnations;
       GroupOutcome replacement;
       replacement.epoch = epoch;
       replacement.group = dead.group;
       replacement.app = dead.app;
-      replacement.be = decision.be;
+      replacement.be = assignment.be;
       replacement.placed = true;
-      replacement.run_solo = decision.run_solo;
-      replacement.first_machine = decision.first_machine;
+      replacement.run_solo = assignment.run_solo;
+      replacement.first_machine = assignment.first_machine;
       replacement.pods = dead.pods;
       replacement.load = dead.load;
-      replacement.score = decision.score;
-      replacement.incarnation = incarnation;
+      replacement.score = assignment.score;
+      replacement.incarnation = dead.incarnation + 1;
       replacement.start_s = window_s;
       machines_used_ =
-          std::max(machines_used_, decision.first_machine + dead.pods);
+          std::max(machines_used_, assignment.first_machine + dead.pods);
       pods_migrated_ += dead.pods;
       ++groups_failed_over_;
       ++epoch_failed_over_;
 
-      const double latency = latency_of(decision.group);
       events_.push_back(PlacementEvent(
-          cluster_t, ObsPlacementOp::kFailover, decision.first_machine,
-          dead.group, dead.pods, incarnation, latency,
-          decision.run_solo ? uint8_t{0}
-                            : static_cast<uint8_t>(decision.be)));
+          cluster_t, ObsPlacementOp::kFailover, assignment.first_machine,
+          dead.group, dead.pods, replacement.incarnation, victim.latency_s,
+          assignment.run_solo ? uint8_t{0}
+                              : static_cast<uint8_t>(assignment.be)));
 
       outcomes_.push_back(replacement);
-      slot.outcome = outcomes_.size() - 1;
-      slot.start_s = window_s;
-      slot.trial_request =
-          FailoverTrialRequest(replacement, window_s, incarnation);
-      slot.trial = std::make_unique<Trial>(slot.trial_request, TrialHooks{},
-                                           &slot.arena);
-      slot.trial->Start();
+      StartTrial(outcomes_.size() - 1);
     }
-  }
-
-  // A replacement trial re-warms inside what is left of the epoch: warmup is
-  // the request's, shrunk so at least half the remaining span measures, and
-  // BE re-admission backs off under a kBeAdmissionHold window per pod.
-  RunRequest FailoverTrialRequest(const GroupOutcome& replacement,
-                                  double start_s, int incarnation) {
-    RunRequest trial =
-        TrialRequest(request_, replacement, groups_per_epoch_, model_of_);
-    const double remaining = epoch_span_s_ - start_s;
-    trial.warmup_s = std::min(request_.warmup_s, 0.5 * remaining);
-    trial.measure_s = remaining - trial.warmup_s;
-    trial.seed = DeriveFailoverSeed(request_.seed, replacement.epoch,
-                                    groups_per_epoch_, replacement.group,
-                                    incarnation);
-    trial.label += "/f" + std::to_string(incarnation);
-    if (!replacement.run_solo &&
-        request_.supervisor.readmission_backoff_s > 0.0) {
-      auto holds = std::make_shared<FaultSchedule>();
-      for (int pod = 0; pod < replacement.pods; ++pod) {
-        FaultEvent hold;
-        hold.kind = FaultKind::kBeAdmissionHold;
-        hold.pod = pod;
-        hold.start_s = 0.0;
-        hold.duration_s = request_.supervisor.readmission_backoff_s;
-        holds->Add(hold);
-      }
-      trial.faults = std::move(holds);
-    }
-    return trial;
   }
 
   // Every settled barrier: assemble the slot-order-merged snapshot, audit
@@ -966,12 +876,13 @@ class RequestExecution {
       }
       checker_.CheckAssignments(snap.time_s, live_ranges);
     }
-    supervisor_.ObserveBarrier(snap);
+    supervisor_.ObserveBarrier();
     if (request_.on_tick) {
       request_.on_tick(snap);
     }
   }
 
+  // Harvest phase.
   void HarvestEpoch(int epoch) {
     // Harvest in slot order. Trials stay alive until the next epoch rebuilds
     // them; the last epoch's die with `slots_`.
@@ -1017,8 +928,7 @@ class RequestExecution {
   const int groups_per_epoch_;
   const double epoch_span_s_;
 
-  std::map<LcAppKind, AppPlacementModel> models_;
-  std::function<const AppPlacementModel&(LcAppKind)> model_of_;
+  const std::function<const AppPlacementModel&(LcAppKind)> model_of_;
   std::unique_ptr<PlacementPolicy> policy_;
   ClusterSupervisor supervisor_;
   ClusterInvariantChecker checker_;
@@ -1051,24 +961,6 @@ class RequestExecution {
   std::vector<int> lost_pending_;      // since the last emitted snapshot.
   std::vector<int> rejoined_pending_;
 };
-
-// Per-app tick totals are finalized after the trial summaries are in.
-void FinalizeAppRates(const ClusterRunRequest& request,
-                      ClusterSummary& summary) {
-  std::map<LcAppKind, double> pod_ticks;
-  for (const GroupOutcome& outcome : summary.groups) {
-    if (outcome.placed) {
-      pod_ticks[outcome.app] += outcome.pods * outcome.served_measure_s /
-                                MachineAgent::kPeriodSeconds;
-    }
-  }
-  for (AppClusterStats& app : summary.per_app) {
-    const double ticks = pod_ticks[app.app];
-    app.slo_violation_rate =
-        ticks > 0.0 ? static_cast<double>(app.sla_violations) / ticks : 0.0;
-  }
-  (void)request;
-}
 
 void ExportRecording(const ClusterRunRequest& request,
                      const Recording& recording) {
@@ -1136,7 +1028,6 @@ std::vector<ClusterSummary> RunClusterPlan(const ClusterRunPlan& plan,
     RequestExecution execution(request);
     execution.Run(engine);
     summaries.push_back(execution.Summarize());
-    FinalizeAppRates(request, summaries.back());
     ExportRecording(request, summaries.back().recording);
   }
   return summaries;

@@ -2,21 +2,26 @@
 // against one ClusterSpec (the same declarative value-type idiom as
 // RunRequest), RunCluster/RunClusterPlan execute it, and ClusterSummary is
 // the Fig. 12/15-style rollup — cluster EMU, per-app SLO violation rates,
-// placement churn.
+// placement churn, failure-domain accounting.
 //
-// Execution model: placement is computed serially (a pure function of
-// spec x policy x seed x epoch), then each epoch's placed groups run
+// Execution model, per epoch: place → build → advance → barrier → harvest.
+// Placement is one placement round (src/place/placement_round.h, the same
+// round failover and /v1/placements run): a pure function of spec x policy
+// x seed x epoch x machine liveness. Each placed group then runs
 // *concurrently inside the trial* on the partitioned cluster engine
-// (src/sim/sharded_engine.h): every group is a simulation island pinned to a
-// logical slot, islands are weight-balanced across RunnerOptions::shards
+// (src/sim/sharded_engine.h): every group is a simulation island pinned to
+// a logical slot, islands are weight-balanced across RunnerOptions::shards
 // worker shards, and all of them advance in lockstep conservative time
 // windows aligned to the controller tick, with a full barrier between
-// windows. Because every island's RNG stream and trial seed derive from its
-// logical slot (DeriveGroupSeed / DeriveShardSeed) — never from the physical
-// shard — and barrier merges run in slot order, results are bit-identical at
-// any shard count, including 1. Placement decisions are emitted as
-// ObsKind::kPlacement events into a Recording auditable with
-// tools/obs_query; barrier snapshots feed the optional ClusterTickHook.
+// windows. At a machine-loss barrier the victims' trials are killed and the
+// supervisor (src/control/cluster_supervisor.h) fails them over through the
+// placement round. Because every island's RNG stream and trial seed derive
+// from its logical slot (DeriveGroupSeed / DeriveShardSeed /
+// DeriveFailoverSeed) — never from the physical shard — and barrier merges
+// run in slot order, results are bit-identical at any shard count,
+// including 1. Placement decisions are emitted as ObsKind::kPlacement
+// events into a Recording auditable with tools/obs_query; barrier snapshots
+// feed the optional ClusterTickHook.
 
 #ifndef RHYTHM_SRC_PLACE_CLUSTER_ENGINE_H_
 #define RHYTHM_SRC_PLACE_CLUSTER_ENGINE_H_
@@ -226,8 +231,9 @@ uint64_t DeriveFailoverSeed(uint64_t base_seed, int epoch, int groups_per_epoch,
 // plan order; every request runs on one shared shard pool sized by
 // RunnerOptions::shards (<= 0: RHYTHM_SHARDS, then the jobs resolution) —
 // bit-identical at any shard count. Malformed requests (unknown policy,
-// empty demand, non-positive windows or epochs, policy decisions that skip
-// a group or overdraw the BE quota) throw std::invalid_argument; trial
+// empty demand, non-positive windows or epochs, and policy answers that
+// break the placement round's decision contract, at epoch placement or at
+// failover) throw std::invalid_argument; trial
 // errors propagate lowest slot first, matching the flat runner's
 // first-error contract.
 ClusterSummary RunCluster(const ClusterRunRequest& request,

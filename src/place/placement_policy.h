@@ -5,11 +5,11 @@
 // groups, the BE quota multiset, and the per-app placement models — once per
 // placement epoch: OnTick() lets stateful policies observe the epoch, then
 // Decide() returns one PlacementDecision per pending group in *placement
-// priority order*. The engine walks decisions in that order, allocating
-// contiguous machine runs until the population is exhausted; later decisions
-// go unplaced. A policy therefore controls (a) which BE lands next to which
-// group, (b) which groups run solo, and (c) which groups are sacrificed when
-// machines run out.
+// priority order*. The placement round (src/place/placement_round.h) walks
+// decisions in that order, allocating contiguous machine runs until the
+// population is exhausted; later decisions go unplaced. A policy therefore
+// controls (a) which BE lands next to which group, (b) which groups run
+// solo, and (c) which groups are sacrificed when machines run out.
 //
 // Determinism contract: a policy must be a pure function of the view and the
 // seed it was constructed with — no wall clock, no global RNG, no state
@@ -47,7 +47,8 @@ struct ClusterView {
 };
 
 // One group's placement. Decisions are returned in priority order; the
-// engine allocates machines in that order and marks the overflow unplaced.
+// placement round allocates machines in that order and marks the overflow
+// unplaced.
 struct PlacementDecision {
   int group = -1;             // PendingGroup::group this decides.
   BeJobKind be = BeJobKind::kCpuStress;
@@ -67,7 +68,8 @@ class PlacementPolicy {
 
   // Returns exactly one decision per pending group (any order; the order IS
   // the placement priority). Non-solo decisions must draw their BEs from the
-  // view's quota multiset — the engine validates and throws otherwise.
+  // view's quota multiset — the placement round validates and throws
+  // otherwise.
   virtual std::vector<PlacementDecision> Decide(const ClusterView& view) = 0;
 };
 

@@ -57,6 +57,10 @@ class HttpRequestParser {
   // request smuggling, so every later call reports the same error.
   Status Next(HttpRequest* out);
 
+  // True while no byte of a next request is buffered: the connection sits
+  // between requests.
+  bool idle() const { return buffer_.empty(); }
+
   // HTTP status code describing the failure (400, 413, 431, 501, 505).
   int error_status() const { return error_status_; }
   const std::string& error() const { return error_; }

@@ -3,6 +3,7 @@
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
+#include <poll.h>
 #include <sys/socket.h>
 #include <sys/time.h>
 #include <unistd.h>
@@ -214,7 +215,7 @@ void HttpServer::ServeConnection(int fd) {
         break;
       }
     }
-    if (!alive) {
+    if (!alive || (parser.idle() && !AwaitNextRequest(fd))) {
       break;
     }
     const ssize_t n = ::recv(fd, buffer, sizeof(buffer), 0);
@@ -230,6 +231,27 @@ void HttpServer::ServeConnection(int fd) {
     break;
   }
   ::close(fd);
+}
+
+// Between requests: waits for the peer's next bytes in short slices, and
+// gives up (false) once the idle timeout passes or another accepted
+// connection is waiting for a worker. Bytes that have arrived are always
+// read first, so a request already sent is never cut; a request in progress
+// is read by the caller's plain recv instead.
+bool HttpServer::AwaitNextRequest(int fd) {
+  constexpr int kSliceMs = 20;
+  for (double idle_s = 0.0; idle_s < options_.idle_timeout_s;
+       idle_s += kSliceMs / 1000.0) {
+    pollfd readable{fd, POLLIN, 0};
+    if (::poll(&readable, 1, kSliceMs) != 0) {
+      return true;  // bytes, EOF, an error or a signal: recv tells which.
+    }
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (!pending_.empty()) {
+      return false;
+    }
+  }
+  return false;
 }
 
 HttpResponse HttpServer::Route(const HttpRequest& request) {

@@ -7,7 +7,9 @@
 //     instead of unbounded queueing (rejections are counted).
 //   * Keep-alive + pipelining — a worker owns a connection until it goes
 //     idle, errors, or asks to close; the incremental parser hands over
-//     back-to-back requests without waiting for separate reads.
+//     back-to-back requests without waiting for separate reads. A
+//     connection idle between requests is given up as soon as another
+//     accepted connection is waiting, so idle peers cannot starve it.
 //   * Graceful drain — Stop() closes the listener, lets workers finish
 //     queued and in-flight requests, then joins every thread. In-flight
 //     queries are never cut off mid-response.
@@ -83,6 +85,7 @@ class HttpServer {
   void AcceptLoop();
   void WorkerLoop();
   void ServeConnection(int fd);
+  bool AwaitNextRequest(int fd);
   HttpResponse Route(const HttpRequest& request);
 
   ServerOptions options_;

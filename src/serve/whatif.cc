@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <limits>
-#include <map>
 #include <memory>
 #include <stdexcept>
 #include <vector>
@@ -10,8 +9,7 @@
 #include "src/common/json.h"
 #include "src/common/names.h"
 #include "src/fault/fault_schedule_io.h"
-#include "src/place/interference_score.h"
-#include "src/place/placement_policy.h"
+#include "src/place/placement_round.h"
 
 namespace rhythm {
 namespace {
@@ -523,25 +521,8 @@ std::string PlacementsResponseJson(const JsonValue& body) {
     }
   }
 
-  // The same view the cluster engine builds for an epoch (loads scaled,
-  // quota expanded), with models cached per app.
-  ClusterView view;
-  view.spec = &spec;
-  view.epoch = epoch;
-  view.load_scale = load_scale;
-  view.pending = ExpandGroups(spec);
-  for (PendingGroup& group : view.pending) {
-    group.load = std::clamp(group.load * load_scale, 0.0, 1.0);
-  }
-  view.be_quota = ExpandBeQuota(spec, static_cast<int>(view.pending.size()));
-  auto models = std::make_shared<std::map<LcAppKind, AppPlacementModel>>();
-  view.model = [models](LcAppKind app) -> const AppPlacementModel& {
-    auto found = models->find(app);
-    if (found == models->end()) {
-      found = models->emplace(app, DefaultPlacementModel(app)).first;
-    }
-    return found->second;
-  };
+  const ClusterView view =
+      EpochView(spec, epoch, load_scale, CachedPlacementModels(nullptr));
 
   JsonWriter w;
   w.BeginObject()
@@ -553,49 +534,42 @@ std::string PlacementsResponseJson(const JsonValue& body) {
       .Key("policies").BeginArray();
   for (const std::string& name : policies) {
     std::unique_ptr<PlacementPolicy> policy = MakePlacementPolicy(name, seed);
-    policy->OnTick(view);
-    const std::vector<PlacementDecision> decisions = policy->Decide(view);
-    if (decisions.size() != view.pending.size()) {
-      Reject("policy \"" + name + "\" returned " +
-             std::to_string(decisions.size()) + " decisions for " +
-             std::to_string(view.pending.size()) + " groups");
-    }
-    // Fault-free first-fit is the plain cursor allocation — the exact
-    // machines the cluster engine would hand these decisions.
-    int cursor = 0;
+    // The engine's placement round on a fresh all-alive roster: with
+    // nothing ever released, first-fit hands out the machines epoch
+    // placement would.
+    MachineRoster roster(spec.machines);
     int placed = 0;
+    int machines_used = 0;
     JsonWriter decisions_json;
     decisions_json.BeginArray();
-    for (const PlacementDecision& decision : decisions) {
-      if (decision.group < 0 ||
-          decision.group >= static_cast<int>(view.pending.size())) {
-        Reject("policy \"" + name + "\" decided an unknown group");
-      }
-      const PendingGroup& group = view.pending[static_cast<size_t>(decision.group)];
-      const bool fits = cursor + group.pods <= spec.machines;
+    for (const PlacementAssignment& assignment :
+         RunPlacementRound(*policy, view, roster, /*degraded=*/false)) {
+      const PendingGroup& group = view.pending[static_cast<size_t>(assignment.group)];
+      const bool fits = assignment.first_machine >= 0;
       decisions_json.BeginObject()
           .Key("group").Int(group.group)
           .Key("app").String(LcAppKindName(group.app))
           .Key("pods").Int(group.pods)
           .Key("load").Number(group.load)
-          .Key("solo").Bool(decision.run_solo)
-          .Key("score").Number(decision.score)
+          .Key("solo").Bool(assignment.run_solo)
+          .Key("score").Number(assignment.score)
           .Key("placed").Bool(fits)
-          .Key("first_machine").Int(fits ? cursor : -1);
-      if (!decision.run_solo) {
-        decisions_json.Key("be").String(BeJobKindName(decision.be));
+          .Key("first_machine").Int(assignment.first_machine);
+      if (!assignment.run_solo) {
+        decisions_json.Key("be").String(BeJobKindName(assignment.be));
       }
       decisions_json.EndObject();
       if (fits) {
-        cursor += group.pods;
         ++placed;
+        machines_used =
+            std::max(machines_used, assignment.first_machine + group.pods);
       }
     }
     decisions_json.EndArray();
     w.BeginObject()
         .Key("policy").String(name)
         .Key("groups_placed").Int(placed)
-        .Key("machines_used").Int(cursor)
+        .Key("machines_used").Int(machines_used)
         .Key("decisions").Raw(decisions_json.str())
         .EndObject();
   }

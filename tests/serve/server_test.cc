@@ -175,6 +175,72 @@ TEST(HttpServerTest, StopIsIdempotentAndRestartable) {
   server.Stop();
 }
 
+// An idle keep-alive peer must not hold the only worker while another
+// accepted connection waits: the idle connection is given up as soon as one
+// is queued, not after the idle timeout.
+TEST(HttpServerTest, IdleKeepAliveConnectionYieldsToAQueuedOne) {
+  ServerOptions options = QuickOptions();
+  options.threads = 1;
+  options.idle_timeout_s = 5.0;
+  HttpServer server(options);
+  server.Handle("GET", "/healthz", [](const HttpRequest&) {
+    HttpResponse response;
+    response.body = "{\"status\":\"ok\"}";
+    return response;
+  });
+  std::string error;
+  ASSERT_TRUE(server.Start(&error)) << error;
+
+  TestClient idle(server.port());
+  ASSERT_TRUE(idle.connected());
+  ASSERT_EQ(idle.Request("GET", "/healthz").status, 200);  // then sits idle.
+
+  const auto start = std::chrono::steady_clock::now();
+  const TestResponse second = Fetch(server.port(), "GET", "/healthz");
+  const double elapsed_s = std::chrono::duration<double>(
+                               std::chrono::steady_clock::now() - start)
+                               .count();
+  ASSERT_TRUE(second.ok);
+  EXPECT_EQ(second.status, 200);
+  EXPECT_LT(elapsed_s, 1.0);
+  server.Stop();
+}
+
+// A request in progress is never cut for a queued connection: the worker
+// reads it to the end, answers it, and only then moves on.
+TEST(HttpServerTest, PartialRequestIsFinishedBeforeAQueuedConnection) {
+  ServerOptions options = QuickOptions();
+  options.threads = 1;
+  options.idle_timeout_s = 5.0;
+  HttpServer server(options);
+  server.Handle("GET", "/healthz", [](const HttpRequest&) {
+    HttpResponse response;
+    response.body = "{\"status\":\"ok\"}";
+    return response;
+  });
+  std::string error;
+  ASSERT_TRUE(server.Start(&error)) << error;
+  const int port = server.port();
+
+  TestClient slow(port);
+  ASSERT_TRUE(slow.connected());
+  ASSERT_TRUE(slow.SendRaw("GET /healthz HTTP/1.1\r\nHost: t\r\n"));
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  TestResponse queued;
+  std::thread other([&queued, port] {
+    queued = Fetch(port, "GET", "/healthz");
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  ASSERT_TRUE(slow.SendRaw("\r\n"));
+  const TestResponse finished = slow.ReadResponse();
+  other.join();
+  ASSERT_TRUE(finished.ok);
+  EXPECT_EQ(finished.status, 200);
+  ASSERT_TRUE(queued.ok);
+  EXPECT_EQ(queued.status, 200);
+  server.Stop();
+}
+
 TEST(HttpServerTest, ConcurrentClientsAllServed) {
   ServerOptions options = QuickOptions();
   options.threads = 4;

@@ -15,14 +15,13 @@
 //   --limit N              print at most N events (default unlimited)
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <map>
 #include <string>
 #include <vector>
 
 #include "src/obs/exporters.h"
 #include "src/obs/recording.h"
+#include "tools/common_flags.h"
 
 using namespace rhythm;
 
@@ -52,15 +51,17 @@ bool ParseKind(const std::string& name, ObsKind* kind) {
   return false;
 }
 
-// Pulls `--flag value` out of argv; returns nullptr when absent.
-const char* FlagValue(int argc, char** argv, const char* flag) {
-  for (int i = 3; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], flag) == 0) {
-      return argv[i + 1];
-    }
-  }
-  return nullptr;
-}
+// The events command's filters; every field defaults to "everything".
+struct EventFilter {
+  bool kind_set = false;
+  ObsKind kind = ObsKind::kDecision;
+  int machine = -2;  // -2 = any (since -1 legitimately means cluster-wide).
+  double from = -1e300;
+  double to = 1e300;
+  bool before_first_kill_set = false;
+  double before_first_kill_s = 0.0;
+  int limit = -1;  // < 0: unlimited.
+};
 
 int CmdSummary(const Recording& recording) {
   const RecordingMeta& meta = recording.meta;
@@ -115,61 +116,37 @@ int CmdSummary(const Recording& recording) {
   return 0;
 }
 
-int CmdEvents(const Recording& recording, int argc, char** argv) {
-  bool kind_set = false;
-  ObsKind kind = ObsKind::kDecision;
-  if (const char* value = FlagValue(argc, argv, "--kind")) {
-    if (!ParseKind(value, &kind)) {
-      std::fprintf(stderr, "obs_query: unknown kind '%s'\n", value);
-      return 2;
-    }
-    kind_set = true;
-  }
-  int machine = -2;  // -2 = any (since -1 legitimately means cluster-wide).
-  if (const char* value = FlagValue(argc, argv, "--machine")) {
-    machine = std::atoi(value);
-  }
-  double from = -1e300;
-  double to = 1e300;
-  if (const char* value = FlagValue(argc, argv, "--from")) {
-    from = std::atof(value);
-  }
-  if (const char* value = FlagValue(argc, argv, "--to")) {
-    to = std::atof(value);
-  }
-  if (const char* value = FlagValue(argc, argv, "--before-first-kill")) {
+int CmdEvents(const Recording& recording, EventFilter filter) {
+  if (filter.before_first_kill_set) {
     const double first_kill = recording.FirstKillTime();
     if (first_kill < 0.0) {
       std::printf("no BE kill in this recording\n");
       return 0;
     }
-    from = first_kill - std::atof(value);
-    to = first_kill;
-  }
-  long limit = -1;
-  if (const char* value = FlagValue(argc, argv, "--limit")) {
-    limit = std::atol(value);
+    filter.from = first_kill - filter.before_first_kill_s;
+    filter.to = first_kill;
   }
 
   long printed = 0;
   size_t matched = 0;
   for (const ObsEvent& event : recording.events) {
-    if (kind_set && event.kind != kind) continue;
-    if (machine != -2 && event.machine != machine) continue;
-    if (event.time_s < from || event.time_s > to) continue;
+    if (filter.kind_set && event.kind != filter.kind) continue;
+    if (filter.machine != -2 && event.machine != filter.machine) continue;
+    if (event.time_s < filter.from || event.time_s > filter.to) continue;
     ++matched;
-    if (limit >= 0 && printed >= limit) continue;
+    if (filter.limit >= 0 && printed >= filter.limit) continue;
     ++printed;
     std::printf("%s\n", DescribeEvent(event).c_str());
   }
-  if (limit >= 0 && matched > static_cast<size_t>(printed)) {
+  if (filter.limit >= 0 && matched > static_cast<size_t>(printed)) {
     std::printf("... %zu more (raise --limit)\n", matched - static_cast<size_t>(printed));
   }
   std::printf("%zu event(s) matched\n", matched);
   return 0;
 }
 
-int CmdTimeline(const Recording& recording, int argc, char** argv) {
+// `step_s` == 0 picks 40 steps over the recording.
+int CmdTimeline(const Recording& recording, double step_s) {
   const TimeSeries* load = recording.Metric("load");
   const TimeSeries* slack = recording.Metric("slack");
   if (load == nullptr || slack == nullptr || load->empty()) {
@@ -178,10 +155,7 @@ int CmdTimeline(const Recording& recording, int argc, char** argv) {
   }
   const double t0 = load->points().front().time;
   const double t1 = load->points().back().time;
-  double step = (t1 - t0) / 40.0;
-  if (const char* value = FlagValue(argc, argv, "--step")) {
-    step = std::atof(value);
-  }
+  double step = step_s > 0.0 ? step_s : (t1 - t0) / 40.0;
   if (!(step > 0.0)) {
     step = 1.0;
   }
@@ -218,6 +192,47 @@ int main(int argc, char** argv) {
     return Usage();
   }
   const std::string command = argv[1];
+  if (command != "summary" && command != "events" && command != "timeline") {
+    return Usage();
+  }
+
+  // Options follow the recording path; they are checked before it is read.
+  EventFilter filter;
+  double step_s = 0.0;  // 0: not given.
+  FlagParser flags(argc - 2, argv + 2);
+  while (flags.Next()) {
+    std::string kind;
+    if (command == "events" &&
+        (flags.Int("--machine", &filter.machine) ||
+         flags.Double("--from", &filter.from) ||
+         flags.Double("--to", &filter.to) ||
+         flags.Int("--limit", &filter.limit))) {
+      continue;
+    }
+    if (command == "events" &&
+        flags.Double("--before-first-kill", &filter.before_first_kill_s)) {
+      filter.before_first_kill_set = true;
+      continue;
+    }
+    if (command == "events" && flags.Str("--kind", &kind)) {
+      if (!ParseKind(kind, &filter.kind)) {
+        std::fprintf(stderr, "obs_query: unknown kind '%s'\n", kind.c_str());
+        return 2;
+      }
+      filter.kind_set = true;
+      continue;
+    }
+    if (command == "timeline" && flags.Double("--step", &step_s)) {
+      if (!(step_s > 0.0)) {
+        step_s = 1.0;
+      }
+      continue;
+    }
+    std::fprintf(stderr, "obs_query: unknown or incomplete option '%s'\n",
+                 flags.arg().c_str());
+    return 2;
+  }
+
   Recording recording;
   try {
     recording = LoadJsonl(argv[2]);
@@ -229,10 +244,7 @@ int main(int argc, char** argv) {
     return CmdSummary(recording);
   }
   if (command == "events") {
-    return CmdEvents(recording, argc, argv);
+    return CmdEvents(recording, filter);
   }
-  if (command == "timeline") {
-    return CmdTimeline(recording, argc, argv);
-  }
-  return Usage();
+  return CmdTimeline(recording, step_s);
 }
